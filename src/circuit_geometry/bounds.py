@@ -14,8 +14,7 @@ import numpy as np
 
 from .charts import Unitary, log_coords
 from .errors import DomainError, EvaluationError, ValidationError
-from .metric import MetricConfig, _evaluate
-from .paths import Path, PathSegment, path_length
+from .metric import MetricConfig, _evaluate, minkowski_norm
 from .seeding import substream
 from .simulation import Schedule, SimulationResult, simulate
 
@@ -133,7 +132,7 @@ def check_segment_distortion(x_from: Unitary, x_to: Unitary, config: MetricConfi
         raise DomainError(f"segment qubit count {x_from.n} does not match config {config.n}")
     y = log_coords(x_to, x_from)
     euclidean = y.norm
-    observed = path_length(Path(config.n, (PathSegment(y, 1.0),)), config)
+    observed = minkowski_norm(y, config)
     return BoundReport("segment-distortion", euclidean, observed, config.p * euclidean)
 
 

@@ -29,13 +29,13 @@ from .io import (
     load_matrix,
     load_schedule,
     load_unitary,
-    path_to_dict,
     save_gates,
+    schedule_to_dict,
     write_bounds_csv,
     write_report,
 )
 from .metric import MetricConfig, PenaltyNorm, default_penalty, distortion_constants
-from .paths import OptimizerSettings, distance_upper
+from .paths import ENDPOINT_TOL, OptimizerSettings, distance_upper
 from .pauli import CoeffVector
 from .pauli import decompose as pauli_decompose
 from .simulation import simulate as run_simulate
@@ -121,7 +121,7 @@ def _estimate_to_results(estimate) -> dict:
     return {
         "lower": estimate.lower,
         "upper": estimate.upper,
-        "witness": path_to_dict(estimate.witness),
+        "witness": schedule_to_dict(estimate.witness),
         "stats": {
             "runs": estimate.stats.runs,
             "evaluations": estimate.stats.evaluations,
@@ -131,9 +131,9 @@ def _estimate_to_results(estimate) -> dict:
 
 
 def _bracket_report(estimate) -> BoundReport:
-    # the lower estimate must not exceed the upper; slack 1e-6 matches the
-    # optimizer's endpoint feasibility tolerance
-    return BoundReport("distance-bracket", 0.0, estimate.lower, estimate.upper + 1e-6)
+    # the lower estimate must not exceed the upper beyond the optimizer's
+    # endpoint feasibility tolerance
+    return BoundReport("distance-bracket", 0.0, estimate.lower, estimate.upper + ENDPOINT_TOL)
 
 
 @click.group()
@@ -257,10 +257,8 @@ def verify(unitary_path, p, segments, restarts, seed, out, fmt):
         reports = [_bracket_report(estimate)]
         rhos = []
         current = identity(target.n)
-        for index, segment in enumerate(estimate.witness.segments):
-            following = exp_coords(
-                CoeffVector(segment.y.n, segment.y.values * segment.tau), current
-            )
+        for index, (row, tau) in enumerate(estimate.witness.segments):
+            following = exp_coords(CoeffVector(target.n, row * tau), current)
             report = check_segment_distortion(current, following, metric)
             rhos.append(report.lower)
             reports.append(

@@ -5,7 +5,9 @@ Three JSON formats cross the package boundary:
 * matrix: ``{"n": int, "re": [[...]], "im": [[...]]}`` -- a dense complex
   matrix split into real and imaginary parts, row major;
 * schedule: ``{"n": int, "segments": [{"tau": float, "y": {word: coeff}}]}``
-  -- a piecewise-constant control schedule, omitted words read as zero;
+  -- a piecewise-constant control schedule (a path), omitted words read
+  as zero; read and written by :func:`schedule_from_dict` and
+  :func:`schedule_to_dict`;
 * gates: ``{"n": int, "delta": float, "gates": [{"pauli": word,
   "angle": float}]}`` -- a synthesized gate sequence in order.
 
@@ -25,7 +27,6 @@ import numpy as np
 from .charts import Unitary
 from .errors import ValidationError
 from .pauli import CoeffVector, PauliString
-from .paths import Path, PathSegment
 from .simulation import Gate, GateSequence, Schedule
 
 
@@ -77,7 +78,8 @@ def save_matrix(path: str, n: int, matrix: np.ndarray) -> None:
     write_report(path, payload)
 
 
-def path_from_dict(payload: dict, source: str = "<schedule>") -> Path:
+def schedule_from_dict(payload: dict, source: str = "<schedule>") -> Schedule:
+    """Parse the schedule format into a piecewise-constant :class:`Schedule`."""
     _require(isinstance(payload, dict), f"{source}: expected a JSON object")
     for key in ("n", "segments"):
         _require(key in payload, f"{source}: missing key {key!r}")
@@ -85,7 +87,8 @@ def path_from_dict(payload: dict, source: str = "<schedule>") -> Path:
     _require(isinstance(n, int) and n >= 1, f"{source}: 'n' must be a positive integer")
     segments = payload["segments"]
     _require(isinstance(segments, list) and segments, f"{source}: 'segments' must be a nonempty list")
-    parsed = []
+    rows = []
+    taus = []
     for index, entry in enumerate(segments):
         where = f"{source}: segment {index}"
         _require(isinstance(entry, dict), f"{where}: expected an object")
@@ -99,37 +102,25 @@ def path_from_dict(payload: dict, source: str = "<schedule>") -> Path:
                 isinstance(value, (int, float)) and not isinstance(value, bool),
                 f"{where}: coefficient for {word!r} must be a number",
             )
-        parsed.append(PathSegment(CoeffVector.from_words(n, mapping), float(tau)))
-    return Path(n, tuple(parsed))
+        rows.append(CoeffVector.from_words(n, mapping).values)
+        taus.append(float(tau))
+    return Schedule.from_segments(n, rows, taus)
 
 
-def load_path(path: str) -> Path:
-    """Read a schedule file as a piecewise-constant path."""
-    return path_from_dict(load_json(path), path)
-
-
-def path_to_dict(path_obj: Path) -> dict:
+def schedule_to_dict(schedule: Schedule) -> dict:
+    """The schedule format of a piecewise-constant schedule (no segments when empty)."""
     return {
-        "n": path_obj.n,
+        "n": schedule.n,
         "segments": [
-            {"tau": segment.tau, "y": segment.y.to_words()} for segment in path_obj.segments
+            {"tau": tau, "y": CoeffVector(schedule.n, row).to_words()}
+            for row, tau in schedule.segments
         ],
     }
 
 
-def schedule_from_path(path_obj: Path) -> Schedule:
-    """View a segment path as a sampled schedule (constant interpolation)."""
-    times = [0.0]
-    for segment in path_obj.segments[:-1]:
-        times.append(times[-1] + segment.tau)
-    duration = times[-1] + path_obj.segments[-1].tau
-    values = np.stack([segment.y.values for segment in path_obj.segments])
-    return Schedule(path_obj.n, np.array(times), values, duration)
-
-
 def load_schedule(path: str) -> Schedule:
-    """Read a schedule file directly into a sampled schedule."""
-    return schedule_from_path(load_path(path))
+    """Read a schedule file."""
+    return schedule_from_dict(load_json(path), path)
 
 
 def gates_to_dict(sequence: GateSequence) -> dict:

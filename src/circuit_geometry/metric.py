@@ -76,15 +76,20 @@ def _coerce_values(y, n: int) -> np.ndarray:
     return values
 
 
-def minkowski_norm(y, config: MetricConfig):
-    """Penalty norm of ``y`` (a CoeffVector or array; batches over leading axes).
+def _weighted_norm(weights: np.ndarray, values: np.ndarray):
+    """``sqrt(sum((w * y)^2))`` over the last axis, the one penalty-norm reduction.
 
-    Computed as one reduction, ``sqrt(sum((w * y)^2))`` with ``w`` the
-    per-coordinate weights, so that algebraically equal inputs produce
-    bit-identical outputs.
+    Every penalty-norm evaluation goes through here, so algebraically
+    equal inputs produce bit-identical outputs whichever entry point
+    computed them.
     """
+    return np.sqrt(np.sum(np.square(weights * values), axis=-1))
+
+
+def minkowski_norm(y, config: MetricConfig):
+    """Penalty norm of ``y`` (a CoeffVector or array; batches over leading axes)."""
     values = _coerce_values(y, config.n)
-    out = np.sqrt(np.sum(np.square(penalty_weights(config) * values), axis=-1))
+    out = _weighted_norm(penalty_weights(config), values)
     return float(out) if out.ndim == 0 else out
 
 
@@ -116,7 +121,7 @@ class PenaltyNorm:
             raise DomainError(
                 f"expected last dimension {self.dimension}, got shape {values.shape}"
             )
-        return np.sqrt(np.sum(np.square(self.weights * values), axis=-1))
+        return _weighted_norm(self.weights, values)
 
     def __repr__(self) -> str:
         return f"PenaltyNorm(n={self.config.n}, p={self.config.p})"

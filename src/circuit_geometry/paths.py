@@ -1,10 +1,9 @@
-"""Piecewise-constant paths on SU(2^n) and two-sided distance estimates.
+"""Path lengths on SU(2^n) and two-sided distance estimates.
 
-A path is a schedule of (coefficient vector, duration) segments; its
-length is the sum of penalty-norm segment lengths, and the distance from
-the identity to a target is bracketed by a chart lower bound and the
-length of an explicitly feasible schedule found by derivative-free
-search.
+A path is a piecewise-constant :class:`~circuit_geometry.simulation.Schedule`;
+its length is the sum of penalty-norm segment lengths, and the distance
+from the identity to a target is bracketed by a chart lower bound and the
+length of an explicitly feasible schedule found by derivative-free search.
 """
 
 from __future__ import annotations
@@ -14,79 +13,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Unitary, identity, log_coords, phase_aligned_frobenius, unitary_exp
+from .charts import Unitary, identity, log_coords, phase_aligned_frobenius
 from .errors import BranchCutError, DomainError, InfeasibleError, ValidationError
-from .metric import MetricConfig, distortion_constants, minkowski_norm, penalty_weights
-from .pauli import CoeffVector, basis_matrices, reconstruct
+from .metric import MetricConfig, _weighted_norm, distortion_constants, penalty_weights
+from .pauli import basis_matrices
 from .seeding import substream
+from .simulation import Schedule
 
-#: Slack allowed between the lower and upper estimate before the pair is
-#: rejected as inconsistent (matches the default endpoint tolerance).
-ESTIMATE_SLACK = 1e-6
+#: Phase-aligned Frobenius distance at which a schedule counts as reaching
+#: its target; also the slack allowed between the lower and upper estimate
+#: before the pair is rejected as inconsistent.
+ENDPOINT_TOL = 1e-6
 
 #: An endpoint already this close to the target is treated as reached.
 IDENTITY_SHORTCUT = 1e-12
 
 _ACCEPT_MARGIN = 1e-12
 
+#: Coordinate-search step: initial size, and the size at which a feasible
+#: run stops halving it.
+INITIAL_STEP = 0.25
+MIN_STEP = 1e-4
 
-@dataclass(frozen=True)
-class PathSegment:
-    """One constant-Hamiltonian leg: coefficients ``y`` held for ``tau``."""
+#: Bounds on each segment duration during the search.
+TAU_MIN = 1e-4
+TAU_MAX = 10.0
 
-    y: CoeffVector
-    tau: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ValidationError(f"segment duration must be positive and finite, got {self.tau}")
-        object.__setattr__(self, "tau", float(self.tau))
-
-
-@dataclass(frozen=True, eq=False)
-class Path:
-    """Ordered segments on a fixed qubit count; may be empty."""
-
-    n: int
-    segments: tuple[PathSegment, ...]
-
-    def __post_init__(self):
-        segments = tuple(self.segments)
-        for segment in segments:
-            if segment.y.n != self.n:
-                raise ValidationError(
-                    f"segment qubit count {segment.y.n} does not match path {self.n}"
-                )
-        object.__setattr__(self, "segments", segments)
-
-    def concat(self, other: "Path") -> "Path":
-        """This path followed by ``other``."""
-        if other.n != self.n:
-            raise DomainError(f"cannot concatenate paths on {self.n} and {other.n} qubits")
-        return Path(self.n, self.segments + other.segments)
-
-    @property
-    def duration(self) -> float:
-        return float(sum(segment.tau for segment in self.segments))
+#: Endpoint-penalty weight: initial value, growth factor after a sweep that
+#: ends infeasible, and the cap past which a run stops when it stalls.
+PENALTY_INIT = 10.0
+PENALTY_GROWTH = 10.0
+PENALTY_CAP = 1e12
 
 
-def path_endpoint(path: Path) -> Unitary:
-    """Time-ordered product of the segment evolutions (later segments on the left)."""
-    state = np.eye(2**path.n, dtype=complex)
-    for segment in path.segments:
-        state = unitary_exp(reconstruct(segment.y), segment.tau) @ state
-    return Unitary(path.n, state)
-
-
-def path_length(path: Path, config: MetricConfig) -> float:
-    """Penalty-norm length: ``sum_j F_p(y_j) * tau_j``.
+def path_length(path: Schedule, config: MetricConfig) -> float:
+    """Penalty-norm length of a piecewise-constant schedule: ``sum_j F_p(y_j) * tau_j``.
 
     Summed with :func:`math.fsum` so the value depends only on the multiset
-    of segment terms, not on how the path was assembled.
+    of segment terms, not on how the path was assembled.  A linearly
+    interpolated schedule raises ``DomainError``: its integral of ``F_p``
+    has no closed form.
     """
     if path.n != config.n:
         raise DomainError(f"path qubit count {path.n} does not match config {config.n}")
-    return math.fsum(minkowski_norm(segment.y, config) * segment.tau for segment in path.segments)
+    weights = penalty_weights(config)
+    return math.fsum(_weighted_norm(weights, row) * tau for row, tau in path.segments)
 
 
 def distance_lower(target: Unitary, config: MetricConfig) -> float:
@@ -104,30 +75,18 @@ def distance_lower(target: Unitary, config: MetricConfig) -> float:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Budget and tolerances for the upper-bound schedule search."""
+    """Budget for the upper-bound schedule search."""
 
     segments: int = 8
     restarts: int = 16
-    endpoint_tol: float = 1e-6
     seed: int = 0
     max_sweeps: int = 40
-    initial_step: float = 0.25
-    min_step: float = 1e-4
-    tau_min: float = 1e-4
-    tau_max: float = 10.0
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    penalty_cap: float = 1e12
 
     def __post_init__(self):
         if self.segments < 1:
             raise ValidationError("at least one segment is required")
         if self.restarts < 0:
             raise ValidationError("restart count must be nonnegative")
-        if not 0 < self.endpoint_tol < 1:
-            raise ValidationError("endpoint tolerance must lie in (0, 1)")
-        if not 0 < self.tau_min <= 1.0 <= self.tau_max:
-            raise ValidationError("duration bounds must satisfy 0 < tau_min <= 1 <= tau_max")
 
 
 @dataclass(frozen=True)
@@ -145,7 +104,7 @@ class DistanceEstimate:
 
     lower: float
     upper: float
-    witness: Path
+    witness: Schedule
     stats: OptimizerStats
 
     def __post_init__(self):
@@ -153,7 +112,7 @@ class DistanceEstimate:
             raise ValidationError("distance estimates must be finite")
         if self.lower < 0 or self.upper < 0:
             raise ValidationError("distance estimates must be nonnegative")
-        if self.lower > self.upper + ESTIMATE_SLACK:
+        if self.lower > self.upper + ENDPOINT_TOL:
             raise ValidationError(
                 f"lower estimate {self.lower:.9f} exceeds upper estimate "
                 f"{self.upper:.9f} beyond the allowed slack"
@@ -178,7 +137,7 @@ def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSetting
     """Greedy coordinate descent over one start point.
 
     Minimizes ``length + w * err^2`` where ``err`` is the phase-aligned
-    Frobenius endpoint mismatch; ``w`` grows by ``penalty_growth`` after
+    Frobenius endpoint mismatch; ``w`` grows by ``PENALTY_GROWTH`` after
     any sweep that ends infeasible, so the endpoint constraint hardens
     over time.  Returns (best feasible candidate or None, best endpoint
     error seen, trial evaluations).
@@ -187,9 +146,6 @@ def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSetting
     basis = basis_matrices(config.n)
     weights = penalty_weights(config)
     dim = target.shape[0]
-
-    def seg_norm(row):
-        return float(np.sqrt(np.sum(np.square(weights * row))))
 
     eigs = []
     for j in range(n_segments):
@@ -209,7 +165,7 @@ def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSetting
         return prefix, suffix
 
     prefix, suffix = prefix_suffix()
-    lengths = np.array([seg_norm(ys[j]) * taus[j] for j in range(n_segments)])
+    lengths = np.array([_weighted_norm(weights, ys[j]) * taus[j] for j in range(n_segments)])
     error = phase_aligned_frobenius(prefix[-1], target)
     total_length = float(np.sum(lengths))
 
@@ -218,14 +174,14 @@ def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSetting
 
     def record():
         nonlocal best
-        if error <= settings.endpoint_tol:
+        if error <= ENDPOINT_TOL:
             if best is None or total_length < best.length:
                 best = _Candidate(total_length, ys, taus, error)
 
     record()
 
-    weight = settings.penalty_init
-    step = settings.initial_step
+    weight = PENALTY_INIT
+    step = INITIAL_STEP
     evaluations = 0
     objective = total_length + weight * error * error
 
@@ -241,7 +197,7 @@ def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSetting
                         trial_eig = np.linalg.eigh(h)
                         trial_tau = taus[j]
                     else:
-                        trial_tau = float(np.clip(taus[j] + direction * step, settings.tau_min, settings.tau_max))
+                        trial_tau = float(np.clip(taus[j] + direction * step, TAU_MIN, TAU_MAX))
                         if trial_tau == taus[j]:
                             continue
                         trial_row = ys[j]
@@ -249,7 +205,7 @@ def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSetting
                     trial_unit = _segment_unitary(trial_eig[0], trial_eig[1], trial_tau)
                     endpoint = suffix[j] @ (trial_unit @ prefix[j])
                     trial_error = phase_aligned_frobenius(endpoint, target)
-                    trial_seg_length = seg_norm(trial_row) * trial_tau
+                    trial_seg_length = _weighted_norm(weights, trial_row) * trial_tau
                     trial_length = total_length - lengths[j] + trial_seg_length
                     trial_objective = trial_length + weight * trial_error * trial_error
                     evaluations += 1
@@ -268,15 +224,15 @@ def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSetting
                         record()
                         improved = True
                         break
-        if error > settings.endpoint_tol:
-            if weight < settings.penalty_cap:
-                weight *= settings.penalty_growth
+        if error > ENDPOINT_TOL:
+            if weight < PENALTY_CAP:
+                weight *= PENALTY_GROWTH
             elif not improved:
                 break
             objective = total_length + weight * error * error
         elif not improved:
             step *= 0.5
-            if step < settings.min_step:
+            if step < MIN_STEP:
                 break
     return best, best_error, evaluations
 
@@ -309,7 +265,7 @@ def distance_upper(
     empty_error = phase_aligned_frobenius(np.eye(2**config.n, dtype=complex), target.matrix)
     if empty_error <= IDENTITY_SHORTCUT:
         stats = OptimizerStats(runs=0, evaluations=0, endpoint_error=empty_error)
-        return DistanceEstimate(lower, 0.0, Path(config.n, ()), stats)
+        return DistanceEstimate(lower, 0.0, Schedule.from_segments(config.n, [], []), stats)
 
     subgroup = None
     try:
@@ -327,7 +283,7 @@ def distance_upper(
         starts.append((rng.normal(0.0, start_scale, (n_segments, dim_coords)), np.ones(n_segments)))
 
     if not starts:
-        raise InfeasibleError(empty_error, settings.endpoint_tol)
+        raise InfeasibleError(empty_error, ENDPOINT_TOL)
 
     best = None
     best_error = empty_error
@@ -340,15 +296,9 @@ def distance_upper(
             best = candidate
 
     if best is None:
-        raise InfeasibleError(best_error, settings.endpoint_tol)
+        raise InfeasibleError(best_error, ENDPOINT_TOL)
 
-    witness = Path(
-        config.n,
-        tuple(
-            PathSegment(CoeffVector(config.n, best.ys[j]), float(best.taus[j]))
-            for j in range(n_segments)
-        ),
-    )
+    witness = Schedule.from_segments(config.n, best.ys, best.taus)
     upper = path_length(witness, config)
     stats = OptimizerStats(runs=len(starts), evaluations=evaluations, endpoint_error=best.error)
     return DistanceEstimate(lower, upper, witness, stats)

@@ -26,6 +26,17 @@ COUNT_GUARD = 1e-12
 
 INTERPOLATIONS = ("constant", "linear")
 
+#: Largest synthesis :func:`simulate` attempts.  Both counts are known in
+#: closed form before anything is allocated.  The gate count is slices x
+#: substeps x nonzero weight-<=2 words x order, with an empty substep counted
+#: as one gate.  A gate holds about 16 bytes of sequence storage and costs
+#: one dense product (about 60 us at n = 6 on a 2-core Xeon VM).  A slice
+#: mean holds 4^n - 1 coefficients (32 KB at n = 6), so the slice limit keeps
+#: the means within about 134 MB.  The largest synthesis the benchmark runs
+#: (n = 6) has 40 slices and 21,600 gates.
+MAX_GATES = 1_000_000
+MAX_SLICES = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
@@ -47,16 +58,21 @@ class Schedule:
         _check_qubit_count(self.n)
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if not (np.isfinite(self.duration) and self.duration > 0):
-            raise ValidationError(f"duration must be positive and finite, got {self.duration}")
-        if times.ndim != 1 or times.size == 0:
-            raise ValidationError("sample times must be a nonempty 1-d array")
-        if times[0] != 0.0:
-            raise ValidationError(f"first sample time must be 0, got {times[0]}")
-        if np.any(np.diff(times) <= 0):
-            raise ValidationError("sample times must be strictly increasing")
-        if times[-1] > self.duration:
-            raise ValidationError("sample times must not exceed the duration")
+        if times.ndim != 1:
+            raise ValidationError("sample times must be a 1-d array")
+        if times.size == 0:
+            # the empty schedule is the identity path: no samples, no time
+            if self.duration != 0.0:
+                raise ValidationError(f"a schedule without samples has duration 0, got {self.duration}")
+        else:
+            if not (np.isfinite(self.duration) and self.duration > 0):
+                raise ValidationError(f"duration must be positive and finite, got {self.duration}")
+            if times[0] != 0.0:
+                raise ValidationError(f"first sample time must be 0, got {times[0]}")
+            if np.any(np.diff(times) <= 0):
+                raise ValidationError("sample times must be strictly increasing")
+            if times[-1] > self.duration:
+                raise ValidationError("sample times must not exceed the duration")
         expected = (times.size, 4**self.n - 1)
         if values.shape != expected:
             raise ValidationError(f"values must have shape {expected}, got {values.shape}")
@@ -89,8 +105,37 @@ class Schedule:
             rows.append(y.values if isinstance(y, CoeffVector) else np.asarray(y, dtype=float))
         return cls(n, np.array(times), np.array(rows), duration, interpolation)
 
+    @classmethod
+    def from_segments(cls, n: int, values, taus) -> "Schedule":
+        """Piecewise-constant schedule holding ``values[j]`` for ``taus[j]``.
+
+        Sample times are the sequential running sum of the durations, so
+        :attr:`segments` returns every duration exactly whenever those sums
+        are exact (as they are for dyadic durations).  No segments give the
+        empty schedule.
+        """
+        times = [0.0]
+        for index, tau in enumerate(taus):
+            if not (np.isfinite(tau) and tau > 0):
+                raise ValidationError(f"segment {index} duration must be positive and finite, got {tau}")
+            times.append(times[-1] + float(tau))
+        values = np.asarray(values, dtype=float)
+        if values.size == 0:
+            values = values.reshape(0, 4**n - 1)
+        return cls(n, np.array(times[:-1]), values, times[-1])
+
+    @property
+    def segments(self) -> tuple[tuple[np.ndarray, float], ...]:
+        """``(row, tau)`` legs in time order; only piecewise-constant schedules have them."""
+        if self.interpolation != "constant":
+            raise DomainError("a linearly interpolated schedule has no constant segments")
+        taus = np.diff(np.append(self.times, self.duration))
+        return tuple(zip(self.values, taus.tolist()))
+
     def value_at(self, t: float) -> np.ndarray:
         """Signal value at time ``t`` (held constant past the last sample)."""
+        if self.times.size == 0:
+            raise DomainError("the empty schedule has no values")
         if not 0.0 <= t <= self.duration:
             raise DomainError(f"time {t} outside [0, {self.duration}]")
         index = int(np.searchsorted(self.times, t, side="right")) - 1
@@ -101,6 +146,15 @@ class Schedule:
         return (1.0 - frac) * self.values[index] + frac * self.values[index + 1]
 
 
+def _slice_count(duration: float, delta: float) -> float:
+    """Number of width-``delta`` slices covering ``duration``, as a float (may be huge)."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise DomainError(f"slice width must be positive and finite, got {delta}")
+    if delta > duration * (1.0 + COUNT_GUARD):
+        raise DomainError(f"slice width {delta} exceeds the duration {duration}")
+    return float(np.ceil(duration / delta - COUNT_GUARD))
+
+
 def slice_edges(duration: float, delta: float) -> np.ndarray:
     """Slice boundaries ``0, delta, 2 delta, ..., duration``.
 
@@ -108,11 +162,7 @@ def slice_edges(duration: float, delta: float) -> np.ndarray:
     duration; a duration that is an exact float multiple of ``delta``
     yields exactly ``duration / delta`` slices.
     """
-    if not (np.isfinite(delta) and delta > 0):
-        raise DomainError(f"slice width must be positive and finite, got {delta}")
-    if delta > duration * (1.0 + COUNT_GUARD):
-        raise DomainError(f"slice width {delta} exceeds the duration {duration}")
-    count = int(np.ceil(duration / delta - COUNT_GUARD))
+    count = int(_slice_count(duration, delta))
     edges = np.minimum(np.arange(count + 1) * delta, duration)
     edges[-1] = duration
     return edges
@@ -170,9 +220,12 @@ class Gate:
     angle: float
 
     def matrix(self) -> np.ndarray:
-        # sigma is involutory, so the exponential closes in two terms
-        dim = 2**self.string.n
-        return np.cos(self.angle) * np.eye(dim) - 1j * np.sin(self.angle) * self.string.matrix()
+        return _rotation(self.angle, np.eye(2**self.string.n), self.string.matrix())
+
+
+def _rotation(angle: float, eye: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``exp(-i angle sigma)``, which closes in two terms because ``sigma`` is involutory."""
+    return np.cos(angle) * eye - 1j * np.sin(angle) * sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +314,7 @@ def gate_product(sequence: GateSequence) -> Unitary:
     eye = np.eye(dim, dtype=complex)
     state = eye.copy()
     for gate in sequence.gates:
-        rotation = np.cos(gate.angle) * eye - 1j * np.sin(gate.angle) * matrices[str(gate.string)]
-        state = rotation @ state
+        state = _rotation(gate.angle, eye, matrices[str(gate.string)]) @ state
     return Unitary(sequence.n, state)
 
 
@@ -343,6 +395,9 @@ def simulate(
     is the phase-aligned Frobenius distance between the gate product and
     the exact (unprojected) endpoint, normalized by ``2^(n/2)`` so the
     value is comparable across qubit counts.
+
+    Raises ``DomainError`` before synthesizing when the slice count exceeds
+    :data:`MAX_SLICES` or the closed-form gate count exceeds :data:`MAX_GATES`.
     """
     if schedule.n != config.n:
         raise DomainError(f"schedule qubit count {schedule.n} does not match config {config.n}")
@@ -358,6 +413,14 @@ def simulate(
         else:
             delta = schedule.duration
     projected = project_schedule(schedule, config)
+    slices = _slice_count(schedule.duration, delta)
+    words = max(1, np.count_nonzero(np.any(projected.values != 0.0, axis=0)))
+    gates = slices * np.ceil(1.0 / delta - COUNT_GUARD) * words * order
+    if slices > MAX_SLICES or gates > MAX_GATES:
+        raise DomainError(
+            f"synthesis at delta {delta} needs {slices:.3g} slices and {gates:.3g} gates; "
+            f"the limit is {MAX_SLICES} slices and {MAX_GATES} gates"
+        )
     means = slice_mean(projected, delta)
     sequence = synthesize_gates(means, delta, config, order=order)
     endpoint = gate_product(sequence)

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from circuit_geometry.cli import main
+from util import subprocess_env
 
 
 @pytest.fixture
@@ -257,3 +258,28 @@ def test_console_script_help():
     assert proc.returncode == 0
     for command in ("decompose", "distance", "simulate", "verify", "distortion", "scaling"):
         assert command in proc.stdout
+
+
+#: Address-space cap for the oversize-schedule runs: ample for a refused
+#: run, far below what an unguarded synthesis of these schedules allocates.
+MEMORY_CAP = 1 << 30
+
+CAPPED_CGEO = (
+    "import resource\n"
+    f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP}))\n"
+    "from circuit_geometry.cli import main\n"
+    "main(prog_name='cgeo')\n"
+)
+
+
+@pytest.mark.parametrize("tau, delta", [(1e300, "0.1"), (1e6, "0.001")])
+def test_oversize_schedule_exits_2(tmp_path, tau, delta):
+    # closed-form slice and gate counts are checked before anything is allocated
+    schedule = _write(tmp_path, "big.json", {"n": 1, "segments": [{"tau": tau, "y": {"X": 0.5}}]})
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CGEO, "simulate", "--schedule", schedule,
+         "--delta", delta, "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=120, env=subprocess_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "the limit is" in proc.stderr

@@ -16,14 +16,12 @@ from circuit_geometry import (
     load_gates,
     load_json,
     load_matrix,
-    load_path,
     load_schedule,
     load_unitary,
-    path_from_dict,
-    path_to_dict,
     save_gates,
     save_matrix,
-    schedule_from_path,
+    schedule_from_dict,
+    schedule_to_dict,
     slice_mean,
     synthesize_gates,
     write_bounds_csv,
@@ -91,52 +89,48 @@ def test_save_matrix_round_trip(tmp_path):
     assert np.array_equal(loaded, matrix)  # repr round-trips floats exactly
 
 
-def test_load_path_happy(tmp_path):
-    path_obj = load_path(_write(tmp_path, "p.json", SCHEDULE))
-    assert path_obj.n == 1
-    assert len(path_obj.segments) == 2
-    assert path_obj.segments[0].tau == 0.5
-    assert path_obj.segments[0].y.to_words() == {"X": 0.3}
-    assert path_obj.segments[1].y.to_words() == {"Y": 0.1, "Z": -0.2}
-
-
-def test_path_from_dict_errors():
+def test_schedule_from_dict_errors():
     with pytest.raises(ValidationError, match="missing key 'segments'"):
-        path_from_dict({"n": 1}, "f")
+        schedule_from_dict({"n": 1}, "f")
     with pytest.raises(ValidationError, match="nonempty"):
-        path_from_dict({"n": 1, "segments": []}, "f")
+        schedule_from_dict({"n": 1, "segments": []}, "f")
     with pytest.raises(ValidationError, match="segment 0"):
-        path_from_dict({"n": 1, "segments": [{"tau": 0.5}]}, "f")
+        schedule_from_dict({"n": 1, "segments": [{"tau": 0.5}]}, "f")
     with pytest.raises(ValidationError, match="'tau' must be a number"):
-        path_from_dict({"n": 1, "segments": [{"tau": True, "y": {}}]}, "f")
+        schedule_from_dict({"n": 1, "segments": [{"tau": True, "y": {}}]}, "f")
     with pytest.raises(ValidationError, match="coefficient for 'X'"):
-        path_from_dict({"n": 1, "segments": [{"tau": 0.5, "y": {"X": "big"}}]}, "f")
+        schedule_from_dict({"n": 1, "segments": [{"tau": 0.5, "y": {"X": "big"}}]}, "f")
     with pytest.raises(ValidationError, match="unknown Pauli word"):
-        path_from_dict({"n": 1, "segments": [{"tau": 0.5, "y": {"XX": 0.1}}]}, "f")
+        schedule_from_dict({"n": 1, "segments": [{"tau": 0.5, "y": {"XX": 0.1}}]}, "f")
+    for tau in (0.0, -0.5, float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="segment 1 duration"):
+            schedule_from_dict({"n": 1, "segments": [{"tau": 0.5, "y": {}}, {"tau": tau, "y": {}}]}, "f")
 
 
 def test_path_dict_round_trip(tmp_path):
-    path_obj = load_path(_write(tmp_path, "p.json", SCHEDULE))
-    again = path_from_dict(path_to_dict(path_obj))
-    assert again.n == path_obj.n
-    for a, b in zip(again.segments, path_obj.segments):
-        assert a.tau == b.tau
-        assert np.array_equal(a.y.values, b.y.values)
-
-
-def test_schedule_from_path_times(tmp_path):
-    path_obj = load_path(_write(tmp_path, "p.json", SCHEDULE))
-    schedule = schedule_from_path(path_obj)
-    assert np.array_equal(schedule.times, [0.0, 0.5])
-    assert schedule.duration == 1.5
-    assert schedule.interpolation == "constant"
-    assert schedule.value_at(0.4)[0] == 0.3  # X coefficient held on first segment
+    schedule = load_schedule(_write(tmp_path, "p.json", SCHEDULE))
+    assert schedule_to_dict(schedule) == SCHEDULE
+    again = schedule_from_dict(schedule_to_dict(schedule))
+    assert again.n == schedule.n
+    assert again.duration == schedule.duration
+    assert np.array_equal(again.times, schedule.times)
+    assert np.array_equal(again.values, schedule.values)
+    empty = Schedule.from_segments(2, [], [])
+    assert schedule_to_dict(empty) == {"n": 2, "segments": []}
 
 
 def test_load_schedule(tmp_path):
     schedule = load_schedule(_write(tmp_path, "p.json", SCHEDULE))
     assert isinstance(schedule, Schedule)
     assert schedule.n == 1
+    assert schedule.interpolation == "constant"
+    assert np.array_equal(schedule.times, [0.0, 0.5])
+    assert schedule.duration == 1.5
+    assert schedule.value_at(0.4)[0] == 0.3  # X coefficient held on first segment
+    (first_y, first_tau), (second_y, second_tau) = schedule.segments
+    assert (first_tau, second_tau) == (0.5, 1.0)
+    assert CoeffVector(1, first_y).to_words() == {"X": 0.3}
+    assert CoeffVector(1, second_y).to_words() == {"Y": 0.1, "Z": -0.2}
 
 
 def test_gates_round_trip(tmp_path):

@@ -1,4 +1,4 @@
-"""Paths, lengths, and the two-sided distance estimates."""
+"""Paths (piecewise-constant schedules), lengths, and the two-sided distance estimates."""
 
 import math
 
@@ -14,9 +14,8 @@ from circuit_geometry import (
     MetricConfig,
     OptimizerSettings,
     OptimizerStats,
-    Path,
-    PathSegment,
     PauliString,
+    Schedule,
     Unitary,
     ValidationError,
     distance_lower,
@@ -24,12 +23,13 @@ from circuit_geometry import (
     enumerate_basis,
     exp_coords,
     identity,
-    path_endpoint,
     path_length,
     phase_aligned_frobenius,
     reconstruct,
+    schedule_endpoint,
     unitary_exp,
 )
+from circuit_geometry.paths import ENDPOINT_TOL
 from util import random_coeffs
 
 
@@ -40,62 +40,61 @@ def _axis(n, word, value):
     return CoeffVector(n, values)
 
 
+def _path(n, legs):
+    """Piecewise-constant schedule from ``(CoeffVector, tau)`` legs."""
+    return Schedule.from_segments(n, [y.values for y, _ in legs], [tau for _, tau in legs])
+
+
 def test_segment_validation():
     y = CoeffVector.zeros(1)
+    for tau in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            _path(1, [(y, 1.0), (y, tau)])
     with pytest.raises(ValidationError):
-        PathSegment(y, 0.0)
-    with pytest.raises(ValidationError):
-        PathSegment(y, -1.0)
-    with pytest.raises(ValidationError):
-        PathSegment(y, np.inf)
+        _path(1, [(y, 0.0)])
 
 
 def test_path_qubit_consistency():
-    seg = PathSegment(CoeffVector.zeros(1), 1.0)
     with pytest.raises(ValidationError):
-        Path(2, (seg,))
-
-
-def test_concat_and_duration():
-    a = Path(1, (PathSegment(_axis(1, "X", 0.5), 1.0),))
-    b = Path(1, (PathSegment(_axis(1, "Z", 0.25), 2.0),))
-    joined = a.concat(b)
-    assert len(joined.segments) == 2
-    assert joined.duration == 3.0
-    with pytest.raises(DomainError):
-        a.concat(Path(2, ()))
+        _path(2, [(CoeffVector.zeros(1), 1.0)])
 
 
 def test_endpoint_single_segment():
     y = _axis(1, "X", 0.7)
-    path = Path(1, (PathSegment(y, 1.5),))
+    path = _path(1, [(y, 1.5)])
     want = unitary_exp(reconstruct(y), 1.5)
-    assert np.max(np.abs(path_endpoint(path).matrix - want)) < 1e-12
+    assert np.max(np.abs(schedule_endpoint(path).matrix - want)) < 1e-12
 
 
 def test_endpoint_time_ordering():
     # later segments multiply on the left; X then Z differs from Z then X
     x = _axis(1, "X", 0.9)
     z = _axis(1, "Z", 0.8)
-    path = Path(1, (PathSegment(x, 1.0), PathSegment(z, 1.0)))
+    path = _path(1, [(x, 1.0), (z, 1.0)])
     want = unitary_exp(reconstruct(z)) @ unitary_exp(reconstruct(x))
-    assert np.max(np.abs(path_endpoint(path).matrix - want)) < 1e-12
-    other = path_endpoint(Path(1, (PathSegment(z, 1.0), PathSegment(x, 1.0))))
+    assert np.max(np.abs(schedule_endpoint(path).matrix - want)) < 1e-12
+    other = schedule_endpoint(_path(1, [(z, 1.0), (x, 1.0)]))
     assert np.max(np.abs(other.matrix - want)) > 0.1
 
 
 def test_empty_path_endpoint():
-    assert np.array_equal(path_endpoint(Path(2, ())).matrix, np.eye(4))
+    empty = _path(2, [])
+    assert empty.duration == 0.0 and empty.segments == ()
+    assert np.array_equal(schedule_endpoint(empty).matrix, np.eye(4))
 
 
 def test_length_formula():
     cfg = MetricConfig(1, 2.0)
     y = _axis(1, "X", 0.3)
-    path = Path(1, (PathSegment(y, 2.0),))
+    path = _path(1, [(y, 2.0)])
     assert path_length(path, cfg) == pytest.approx(0.6, abs=1e-15)
-    assert path_length(Path(1, ()), cfg) == 0.0
+    assert path_length(_path(1, []), cfg) == 0.0
     with pytest.raises(DomainError):
         path_length(path, MetricConfig(2, 2.0))
+    # the length integral of a linear schedule has no closed form
+    ramp = Schedule(1, np.array([0.0, 1.0]), np.array([y.values, 2 * y.values]), 2.0, "linear")
+    with pytest.raises(DomainError):
+        path_length(ramp, cfg)
 
 
 def test_length_split_segment_exact():
@@ -105,30 +104,30 @@ def test_length_split_segment_exact():
     rng = np.random.default_rng(0)
     y = random_coeffs(rng, 2, scale=1.3)
     tau = 0.37
-    whole = Path(2, (PathSegment(y, tau),))
-    halves = Path(2, (PathSegment(y, tau / 2.0), PathSegment(y, tau / 2.0)))
+    whole = _path(2, [(y, tau)])
+    halves = _path(2, [(y, tau / 2.0), (y, tau / 2.0)])
     assert path_length(whole, cfg) == path_length(halves, cfg)
 
 
 def test_length_concat_additive():
+    # a schedule split at a segment boundary: the length of the whole is
+    # the sum of the lengths of the two parts
     cfg = MetricConfig(1, 2.0)
     rng = np.random.default_rng(1)
     for _ in range(25):
-        a = Path(1, tuple(PathSegment(random_coeffs(rng, 1), rng.uniform(0.1, 2.0))
-                          for _ in range(3)))
-        b = Path(1, tuple(PathSegment(random_coeffs(rng, 1), rng.uniform(0.1, 2.0))
-                          for _ in range(2)))
-        total = path_length(a.concat(b), cfg)
-        split = path_length(a, cfg) + path_length(b, cfg)
+        a = [(random_coeffs(rng, 1), rng.uniform(0.1, 2.0)) for _ in range(3)]
+        b = [(random_coeffs(rng, 1), rng.uniform(0.1, 2.0)) for _ in range(2)]
+        total = path_length(_path(1, a + b), cfg)
+        split = path_length(_path(1, a), cfg) + path_length(_path(1, b), cfg)
         assert math.isclose(total, split, rel_tol=1e-15, abs_tol=0.0)
 
 
 def test_length_dyadic_concat_exact():
     # dyadic durations and single-word directions make every term exact
     cfg = MetricConfig(1, 1.0)
-    a = Path(1, (PathSegment(_axis(1, "X", 0.25), 0.5),))
-    b = Path(1, (PathSegment(_axis(1, "Z", 0.5), 0.25),))
-    assert path_length(a.concat(b), cfg) == path_length(a, cfg) + path_length(b, cfg)
+    a = [(_axis(1, "X", 0.25), 0.5)]
+    b = [(_axis(1, "Z", 0.5), 0.25)]
+    assert path_length(_path(1, a + b), cfg) == path_length(_path(1, a), cfg) + path_length(_path(1, b), cfg)
 
 
 def test_distance_lower_oracle():
@@ -150,19 +149,16 @@ def test_optimizer_settings_validation():
         OptimizerSettings(segments=0)
     with pytest.raises(ValidationError):
         OptimizerSettings(restarts=-1)
-    with pytest.raises(ValidationError):
-        OptimizerSettings(endpoint_tol=0.0)
-    with pytest.raises(ValidationError):
-        OptimizerSettings(tau_min=0.0)
 
 
 def test_estimate_validation():
     stats = OptimizerStats(1, 1, 0.0)
+    empty = _path(1, [])
     with pytest.raises(ValidationError):
-        DistanceEstimate(1.0, 0.5, Path(1, ()), stats)
+        DistanceEstimate(1.0, 0.5, empty, stats)
     with pytest.raises(ValidationError):
-        DistanceEstimate(-0.1, 0.5, Path(1, ()), stats)
-    DistanceEstimate(0.5, 0.5, Path(1, ()), stats)  # equality is fine
+        DistanceEstimate(-0.1, 0.5, empty, stats)
+    DistanceEstimate(0.5, 0.5, empty, stats)  # equality is fine
 
 
 def test_distance_upper_identity():
@@ -191,8 +187,8 @@ def test_distance_upper_witness_is_feasible():
     rng = np.random.default_rng(2)
     u = exp_coords(random_coeffs(rng, 2, scale=0.8), identity(2))
     estimate = distance_upper(u, cfg, SMALL)
-    reached = path_endpoint(estimate.witness)
-    assert phase_aligned_frobenius(reached.matrix, u.matrix) <= SMALL.endpoint_tol
+    reached = schedule_endpoint(estimate.witness)
+    assert phase_aligned_frobenius(reached.matrix, u.matrix) <= ENDPOINT_TOL
     assert estimate.upper == path_length(estimate.witness, cfg)
     assert estimate.lower <= estimate.upper + 1e-6
 

@@ -58,6 +58,12 @@ def test_schedule_validation():
         Schedule(1, np.array([0.0]), np.zeros((1, 3)), 0.0)
     with pytest.raises(ValidationError):
         Schedule(1, np.array([0.0]), np.zeros((1, 3)), 1.0, interpolation="cubic")
+    # the empty schedule (the identity path) has no samples and no duration
+    empty = Schedule(1, np.array([]), np.zeros((0, 3)), 0.0)
+    with pytest.raises(DomainError):
+        empty.value_at(0.0)
+    with pytest.raises(ValidationError):
+        Schedule(1, np.array([]), np.zeros((0, 3)), 1.0)
 
 
 def test_value_at_constant_hold():
@@ -231,6 +237,11 @@ def test_gate_product_oracle():
     seq = GateSequence(1, (Gate(PauliString("X"), 0.4),), 0.5)
     want = unitary_exp(PauliString("X").matrix(), 0.4)
     assert np.max(np.abs(gate_product(seq).matrix - want)) < 1e-14
+    # both share one rotation formula, so a one-gate product is the gate itself
+    for word in ("X", "Y", "Z"):
+        gate = Gate(PauliString(word), -0.7)
+        single = gate_product(GateSequence(1, (gate,), 0.5)).matrix
+        assert np.array_equal(single, gate.matrix())
 
 
 def test_gate_product_ordering():
@@ -335,3 +346,14 @@ def test_trotter_order_at_least_1p8():
         errors.append(np.linalg.norm(gate_product(seq).matrix - exact))
     slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
     assert slope >= 1.8
+
+
+def test_simulate_refuses_oversize_synthesis():
+    # slice and gate counts are checked in closed form before synthesis; a
+    # schedule the projection empties still counts one gate per substep
+    heavy = Schedule.constant(_coeffs(3, {"XXX": 0.5}), 1e-12)
+    with pytest.raises(DomainError, match="limit"):
+        simulate(heavy, MetricConfig(3, 8.0), 1e-12)
+    long = Schedule.constant(_coeffs(1, {"X": 0.5}), 5000.0)
+    with pytest.raises(DomainError, match="4096 slices"):
+        simulate(long, MetricConfig(1, 2.0), 1.0)

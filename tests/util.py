@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: seeded random matrices and schedules."""
 
+import os
+
 import numpy as np
 
 from circuit_geometry import CoeffVector, Unitary
@@ -27,3 +29,14 @@ def random_coeffs(rng, n, scale=1.0):
     values = rng.normal(size=4**n - 1)
     values = values / np.linalg.norm(values) * scale
     return CoeffVector(n, values)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def subprocess_env():
+    """Environment for a child interpreter: this checkout's ``src`` first, one BLAS thread."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return env
