@@ -119,18 +119,33 @@ def test_path_dict_round_trip(tmp_path):
     assert schedule_to_dict(empty) == {"n": 2, "segments": []}
 
 
-def test_load_schedule(tmp_path):
+def test_load_path_happy(tmp_path):
     schedule = load_schedule(_write(tmp_path, "p.json", SCHEDULE))
-    assert isinstance(schedule, Schedule)
     assert schedule.n == 1
-    assert schedule.interpolation == "constant"
-    assert np.array_equal(schedule.times, [0.0, 0.5])
-    assert schedule.duration == 1.5
-    assert schedule.value_at(0.4)[0] == 0.3  # X coefficient held on first segment
+    assert len(schedule.segments) == 2
     (first_y, first_tau), (second_y, second_tau) = schedule.segments
     assert (first_tau, second_tau) == (0.5, 1.0)
     assert CoeffVector(1, first_y).to_words() == {"X": 0.3}
     assert CoeffVector(1, second_y).to_words() == {"Y": 0.1, "Z": -0.2}
+
+
+def test_schedule_from_path_times():
+    rows = [CoeffVector.from_words(1, {"X": 0.3}).values,
+            CoeffVector.from_words(1, {"Z": -0.2, "Y": 0.1}).values]
+    schedule = Schedule.from_segments(1, rows, [0.5, 1.0])
+    assert np.array_equal(schedule.times, [0.0, 0.5])
+    assert schedule.duration == 1.5
+    assert schedule.interpolation == "constant"
+    assert schedule.value_at(0.4)[0] == 0.3  # X coefficient held on first segment
+
+
+def test_load_schedule(tmp_path):
+    schedule = load_schedule(_write(tmp_path, "p.json", SCHEDULE))
+    assert isinstance(schedule, Schedule)
+    assert schedule.n == 1
+    assert np.array_equal(schedule.times, [0.0, 0.5])
+    assert schedule.duration == 1.5
+    assert schedule.interpolation == "constant"
 
 
 def test_gates_round_trip(tmp_path):
