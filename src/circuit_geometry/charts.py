@@ -46,6 +46,8 @@ class Unitary:
             raise ValidationError(
                 f"unitary for n={self.n} must have shape ({dim}, {dim}), got {matrix.shape}"
             )
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError("matrix entries must be finite")
         defect = float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(dim))))
         if defect > UNITARY_TOL:
             raise ValidationError(f"matrix is not unitary: max |U U^dagger - I| = {defect:.3e}")
@@ -65,26 +67,40 @@ def identity(n: int) -> Unitary:
     return Unitary(n, np.eye(2**n, dtype=complex))
 
 
+def eigen_exp(evals: np.ndarray, vecs: np.ndarray, t=1.0) -> np.ndarray:
+    """``V diag(exp(-i t lambda)) V^dagger`` from eigenpairs, over leading axes.
+
+    ``t`` is a scalar or an array that broadcasts against ``evals`` (one
+    duration per matrix as ``t[..., None]``).  Each matrix of a stack is
+    computed with exactly the operations of the unstacked call.
+    """
+    return (vecs * np.exp(-1j * t * evals)[..., None, :]) @ np.swapaxes(vecs.conj(), -2, -1)
+
+
 def unitary_exp(hermitian: np.ndarray, t: float = 1.0) -> np.ndarray:
     """``exp(-i t H)`` for Hermitian ``H`` via eigendecomposition.
 
     Exactly unitary up to rounding (phases lie on the unit circle by
     construction), unlike a truncated series.
     """
-    evals, vecs = np.linalg.eigh(hermitian)
-    return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
+    return eigen_exp(*np.linalg.eigh(hermitian), t)
 
 
-def phase_aligned_frobenius(a: np.ndarray, b: np.ndarray) -> float:
-    """``min_phi || a - e^{i phi} b ||_F``.
+def phase_aligned_frobenius(a: np.ndarray, b: np.ndarray):
+    """``min_phi || a - e^{i phi} b ||_F`` over the last two axes.
 
     Equals ``sqrt(||a||^2 + ||b||^2 - 2 |tr(a^dagger b)|)``; group elements
-    that differ only by a global phase compare as equal.
+    that differ only by a global phase compare as equal.  Returns a float
+    for two matrices and an array for stacks (leading axes broadcast).
     """
-    na = float(np.sum(np.abs(a) ** 2))
-    nb = float(np.sum(np.abs(b) ** 2))
-    overlap = abs(complex(np.trace(a.conj().T @ b)))
-    return float(np.sqrt(max(0.0, na + nb - 2.0 * overlap)))
+    na = np.sum(np.abs(a) ** 2, axis=(-2, -1))
+    nb = np.sum(np.abs(b) ** 2, axis=(-2, -1))
+    trace = np.trace(np.swapaxes(a.conj(), -2, -1) @ b, axis1=-2, axis2=-1)
+    # hypot, not np.abs: numpy's complex absolute rounds differently from
+    # Python's abs(complex), which the unstacked form has always used
+    overlap = np.hypot(trace.real, trace.imag)
+    out = np.sqrt(np.fmax(0.0, na + nb - 2.0 * overlap))
+    return float(out) if out.ndim == 0 else out
 
 
 def exp_coords(y: CoeffVector, base: Unitary) -> Unitary:

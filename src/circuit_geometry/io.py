@@ -35,6 +35,16 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _number(value, what: str) -> float:
+    """``float(value)`` for a JSON number; ``ValidationError`` for anything else,
+    including an integer too large for a float."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is too large for a float") from None
+
+
 def _as_complex(payload: dict, path: str) -> tuple[int, np.ndarray]:
     _require(isinstance(payload, dict), f"{path}: expected a JSON object")
     for key in ("n", "re", "im"):
@@ -44,7 +54,7 @@ def _as_complex(payload: dict, path: str) -> tuple[int, np.ndarray]:
     try:
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: matrix entries must be numbers ({exc})")
     dim = 2**n
     _require(re.shape == (dim, dim), f"{path}: 're' must be a {dim}x{dim} array, got {re.shape}")
@@ -93,17 +103,12 @@ def schedule_from_dict(payload: dict, source: str = "<schedule>") -> Schedule:
         where = f"{source}: segment {index}"
         _require(isinstance(entry, dict), f"{where}: expected an object")
         _require("tau" in entry and "y" in entry, f"{where}: needs 'tau' and 'y'")
-        tau = entry["tau"]
-        _require(isinstance(tau, (int, float)) and not isinstance(tau, bool), f"{where}: 'tau' must be a number")
+        tau = _number(entry["tau"], f"{where}: 'tau'")
         mapping = entry["y"]
         _require(isinstance(mapping, dict), f"{where}: 'y' must be an object of word: coefficient")
-        for word, value in mapping.items():
-            _require(
-                isinstance(value, (int, float)) and not isinstance(value, bool),
-                f"{where}: coefficient for {word!r} must be a number",
-            )
+        mapping = {word: _number(value, f"{where}: coefficient for {word!r}") for word, value in mapping.items()}
         rows.append(CoeffVector.from_words(n, mapping).values)
-        taus.append(float(tau))
+        taus.append(tau)
     return Schedule.from_segments(n, rows, taus)
 
 
@@ -137,11 +142,7 @@ def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
         _require(key in payload, f"{source}: missing key {key!r}")
     n = payload["n"]
     _require(isinstance(n, int) and n >= 1, f"{source}: 'n' must be a positive integer")
-    delta = payload["delta"]
-    _require(
-        isinstance(delta, (int, float)) and not isinstance(delta, bool),
-        f"{source}: 'delta' must be a number",
-    )
+    delta = _number(payload["delta"], f"{source}: 'delta'")
     entries = payload["gates"]
     _require(isinstance(entries, list), f"{source}: 'gates' must be a list")
     gates = []
@@ -149,13 +150,9 @@ def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
         where = f"{source}: gate {index}"
         _require(isinstance(entry, dict), f"{where}: expected an object")
         _require("pauli" in entry and "angle" in entry, f"{where}: needs 'pauli' and 'angle'")
-        angle = entry["angle"]
-        _require(
-            isinstance(angle, (int, float)) and not isinstance(angle, bool),
-            f"{where}: 'angle' must be a number",
-        )
-        gates.append(Gate(PauliString(str(entry["pauli"])), float(angle)))
-    return GateSequence(n, tuple(gates), float(delta))
+        angle = _number(entry["angle"], f"{where}: 'angle'")
+        gates.append(Gate(PauliString(str(entry["pauli"])), angle))
+    return GateSequence(n, tuple(gates), delta)
 
 
 def load_gates(path: str) -> GateSequence:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Unitary, identity, log_coords, phase_aligned_frobenius
+from .charts import Unitary, eigen_exp, identity, log_coords, phase_aligned_frobenius
 from .errors import BranchCutError, DomainError, InfeasibleError, ValidationError
 from .metric import MetricConfig, _weighted_norm, distortion_constants, penalty_weights
 from .pauli import basis_matrices
@@ -129,29 +129,40 @@ class _Candidate:
         self.error = error
 
 
-def _segment_unitary(evals, vecs, tau):
-    return (vecs * np.exp(-1j * tau * evals)) @ vecs.conj().T
-
-
 def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSettings, ys, taus):
-    """Greedy coordinate descent over one start point.
+    """Greedy first-improvement coordinate descent over one start point.
 
     Minimizes ``length + w * err^2`` where ``err`` is the phase-aligned
     Frobenius endpoint mismatch; ``w`` grows by ``PENALTY_GROWTH`` after
     any sweep that ends infeasible, so the endpoint constraint hardens
     over time.  Returns (best feasible candidate or None, best endpoint
     error seen, trial evaluations).
+
+    Within segment ``j`` the trials run in the order ``(c, +step)``,
+    ``(c, -step)`` for each coordinate ``c``, then ``tau +/- step`` (a tau
+    move clipped to a no-op is skipped).  The first trial that lowers the
+    objective by more than ``_ACCEPT_MARGIN`` is accepted, and the search
+    goes on at ``c + 1``.  All remaining trials of the segment are
+    evaluated as one stack (one contraction, one stacked ``eigh``, one
+    batched endpoint product) and the first hit in that order wins; the
+    trials after it are discarded and not counted.  Each trial is computed
+    with the operations of a one-at-a-time loop, so the trajectory and the
+    evaluation count do not depend on the batching.
     """
     n_segments, dim_coords = ys.shape
-    basis = basis_matrices(config.n)
+    flat_basis = basis_matrices(config.n).reshape(dim_coords, -1)
     weights = penalty_weights(config)
     dim = target.shape[0]
 
-    eigs = []
-    for j in range(n_segments):
-        h = np.tensordot(ys[j], basis, axes=(0, 0))
-        eigs.append(np.linalg.eigh(h))
-    units = [_segment_unitary(ev, vc, taus[j]) for j, (ev, vc) in enumerate(eigs)]
+    def eigenpairs(rows):
+        # a row-vector-times-matrix product per row rounds exactly as
+        # np.tensordot(row, basis) does; a rank-one update h + step * sigma_c
+        # of the current Hamiltonian would not
+        hams = np.matmul(rows[:, None, :], flat_basis)[:, 0].reshape(-1, dim, dim)
+        return np.linalg.eigh(hams)
+
+    evals, vecs = eigenpairs(ys)
+    units = eigen_exp(evals, vecs, taus[:, None])
 
     def prefix_suffix():
         prefix = [np.eye(dim, dtype=complex)]
@@ -184,46 +195,52 @@ def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSetting
     step = INITIAL_STEP
     evaluations = 0
     objective = total_length + weight * error * error
+    # trial k of a full segment stack moves coordinate k // 2 by +step, -step
+    all_coords = np.repeat(np.arange(dim_coords), 2)
+    all_signs = np.tile([1.0, -1.0], dim_coords)
 
     for _ in range(settings.max_sweeps):
         improved = False
+        deltas = all_signs * step
         for j in range(n_segments):
-            for coord in range(dim_coords + 1):
-                for direction in (1.0, -1.0):
-                    if coord < dim_coords:
-                        trial_row = ys[j].copy()
-                        trial_row[coord] += direction * step
-                        h = np.tensordot(trial_row, basis, axes=(0, 0))
-                        trial_eig = np.linalg.eigh(h)
-                        trial_tau = taus[j]
-                    else:
-                        trial_tau = float(np.clip(taus[j] + direction * step, TAU_MIN, TAU_MAX))
-                        if trial_tau == taus[j]:
-                            continue
-                        trial_row = ys[j]
-                        trial_eig = eigs[j]
-                    trial_unit = _segment_unitary(trial_eig[0], trial_eig[1], trial_tau)
-                    endpoint = suffix[j] @ (trial_unit @ prefix[j])
-                    trial_error = phase_aligned_frobenius(endpoint, target)
-                    trial_seg_length = _weighted_norm(weights, trial_row) * trial_tau
-                    trial_length = total_length - lengths[j] + trial_seg_length
-                    trial_objective = trial_length + weight * trial_error * trial_error
-                    evaluations += 1
-                    if trial_objective < objective - _ACCEPT_MARGIN:
-                        if coord < dim_coords:
-                            ys[j] = trial_row
-                        taus[j] = trial_tau
-                        eigs[j] = trial_eig
-                        units[j] = trial_unit
-                        lengths[j] = trial_seg_length
-                        total_length = trial_length
-                        error = trial_error
-                        objective = trial_objective
-                        prefix, suffix = prefix_suffix()
-                        best_error = min(best_error, error)
-                        record()
-                        improved = True
-                        break
+            # taus[j] changes only when a tau trial is accepted, which ends the segment
+            tau_trials = [
+                tau for tau in np.clip(taus[j] + np.array([step, -step]), TAU_MIN, TAU_MAX) if tau != taus[j]
+            ]
+            start = 0
+            while start <= dim_coords:
+                coords = all_coords[2 * start:]
+                n_moves = len(coords)
+                rows = np.repeat(ys[j][None, :], n_moves + len(tau_trials), axis=0)
+                rows[np.arange(n_moves), coords] += deltas[2 * start:]
+                trial_taus = np.array([taus[j]] * n_moves + tau_trials)
+                move_evals, move_vecs = eigenpairs(rows[:n_moves])
+                trial_evals = np.concatenate([move_evals, np.repeat(evals[j][None], len(tau_trials), 0)])
+                trial_vecs = np.concatenate([move_vecs, np.repeat(vecs[j][None], len(tau_trials), 0)])
+                trial_units = eigen_exp(trial_evals, trial_vecs, trial_taus[:, None])
+                trial_errors = phase_aligned_frobenius(suffix[j] @ (trial_units @ prefix[j]), target)
+                trial_seg_lengths = _weighted_norm(weights, rows) * trial_taus
+                trial_lengths = total_length - lengths[j] + trial_seg_lengths
+                trial_objectives = trial_lengths + weight * trial_errors * trial_errors
+                hits = np.flatnonzero(trial_objectives < objective - _ACCEPT_MARGIN)
+                if len(hits) == 0:
+                    evaluations += len(rows)
+                    break
+                k = int(hits[0])
+                evaluations += k + 1
+                ys[j] = rows[k]
+                taus[j] = trial_taus[k]
+                evals[j], vecs[j] = trial_evals[k], trial_vecs[k]
+                units[j] = trial_units[k]
+                lengths[j] = trial_seg_lengths[k]
+                total_length = trial_lengths[k]
+                error = float(trial_errors[k])
+                objective = trial_objectives[k]
+                prefix, suffix = prefix_suffix()
+                best_error = min(best_error, error)
+                record()
+                improved = True
+                start = start + k // 2 + 1 if k < n_moves else dim_coords + 1
         if error > ENDPOINT_TOL:
             if weight < PENALTY_CAP:
                 weight *= PENALTY_GROWTH

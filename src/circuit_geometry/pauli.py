@@ -171,7 +171,10 @@ class CoeffVector:
                 raise ValidationError(
                     f"unknown Pauli word {word!r} for n={n} (identity word excluded)"
                 )
-            values[index[word]] = float(value)
+            try:
+                values[index[word]] = float(value)
+            except OverflowError:
+                raise ValidationError(f"coefficient for {word!r} is too large for a float") from None
         return cls(n, values)
 
     def to_words(self, include_zeros: bool = False) -> dict:

@@ -28,6 +28,9 @@ def test_unitary_validation():
         Unitary(1, np.diag([np.exp(0.3j), 1.0]))  # unitary but det != 1
     with pytest.raises(ValidationError):
         Unitary(2, np.eye(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            Unitary(1, np.diag([bad, 1.0]))
 
 
 def test_unitary_immutable_and_dagger():

@@ -86,6 +86,34 @@ def test_malformed_json_exits_2(runner, tmp_path):
     assert "invalid JSON" in result.output
 
 
+#: A JSON integer with 401 digits: valid JSON, too large for a float.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("command, option, payload", [
+    ("simulate", "--schedule", {"n": 1, "segments": [{"tau": HUGE, "y": {"X": 0.5}}]}),
+    ("simulate", "--schedule", {"n": 1, "segments": [{"tau": 1, "y": {"X": HUGE}}]}),
+    ("decompose", "--matrix", {"n": 1, "re": [[0, HUGE], [HUGE, 0]], "im": [[0, 0], [0, 0]]}),
+], ids=["tau", "coefficient", "matrix-entry"])
+def test_number_too_large_for_a_float_exits_2(runner, tmp_path, command, option, payload):
+    path = _write(tmp_path, "huge.json", payload)
+    extra = ["--delta", "0.1"] if command == "simulate" else []
+    result = runner.invoke(main, [command, option, path, *extra, "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+    assert "too large" in result.output
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_non_finite_unitary_exits_2(runner, tmp_path, entry):
+    # Python's JSON reader accepts these literals; the unitary check must reject them
+    path = tmp_path / "nonfinite.json"
+    path.write_text(f'{{"n": 1, "re": [[{entry}, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}')
+    result = runner.invoke(main, ["distance", "--unitary", str(path), "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+
+
 def test_distance_brackets_rotation(runner, tmp_path):
     out = str(tmp_path / "d.json")
     result = runner.invoke(main, ["distance", "--unitary", _x_rotation(tmp_path),

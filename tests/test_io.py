@@ -177,6 +177,18 @@ def test_gates_from_dict_errors():
                          "gates": [{"pauli": "XXX", "angle": 0.1}]}, "f")
 
 
+def test_readers_reject_integers_too_large_for_a_float():
+    huge = 10**400
+    with pytest.raises(ValidationError, match="'delta' is too large"):
+        gates_from_dict({"n": 1, "delta": huge, "gates": []}, "f")
+    with pytest.raises(ValidationError, match="'angle' is too large"):
+        gates_from_dict({"n": 1, "delta": 0.1, "gates": [{"pauli": "X", "angle": huge}]}, "f")
+    with pytest.raises(ValidationError, match="'tau' is too large"):
+        schedule_from_dict({"n": 1, "segments": [{"tau": huge, "y": {"X": 0.5}}]}, "f")
+    with pytest.raises(ValidationError, match="coefficient for 'X' is too large"):
+        schedule_from_dict({"n": 1, "segments": [{"tau": 1, "y": {"X": huge}}]}, "f")
+
+
 def test_gates_to_dict_lists_in_order():
     config = MetricConfig(1, 1.0)
     means = slice_mean(Schedule.constant(CoeffVector.from_words(1, {"X": 0.4}), 0.5), 0.5)

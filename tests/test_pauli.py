@@ -181,6 +181,11 @@ def test_words_round_trip():
     assert full["ZZ"] == 0.0
 
 
+def test_from_words_rejects_overflow():
+    with pytest.raises(ValidationError, match="too large"):
+        CoeffVector.from_words(1, {"X": 10**400})
+
+
 def test_from_words_rejects_unknown():
     with pytest.raises(ValidationError):
         CoeffVector.from_words(2, {"XQ": 1.0})
