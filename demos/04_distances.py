@@ -28,7 +28,7 @@ def bracket(label, target, config, settings):
 
 
 def main():
-    settings = OptimizerSettings(segments=4, restarts=4, seed=0)
+    settings = OptimizerSettings(segments=4)
 
     print("== single-axis rotation: both bounds pinch the angle ==")
     theta = 0.7
@@ -48,7 +48,7 @@ def main():
 
     print("\n== the penalty reprices a weight-3 rotation ==")
     heavy = exp_coords(CoeffVector.from_words(3, {"XXX": 0.4}), identity(3))
-    quick = OptimizerSettings(segments=1, restarts=0, max_sweeps=6, seed=0)
+    quick = OptimizerSettings(segments=1, max_sweeps=6)
     for p in (1.0, 4.0, 8.0):
         config = MetricConfig(3, p)
         lower = distance_lower(heavy, config)

@@ -92,6 +92,7 @@ def phase_aligned_frobenius(a: np.ndarray, b: np.ndarray):
     Equals ``sqrt(||a||^2 + ||b||^2 - 2 |tr(a^dagger b)|)``; group elements
     that differ only by a global phase compare as equal.  Returns a float
     for two matrices and an array for stacks (leading axes broadcast).
+    A NaN entry gives NaN, so it never counts as reaching a target.
     """
     na = np.sum(np.abs(a) ** 2, axis=(-2, -1))
     nb = np.sum(np.abs(b) ** 2, axis=(-2, -1))
@@ -99,7 +100,7 @@ def phase_aligned_frobenius(a: np.ndarray, b: np.ndarray):
     # hypot, not np.abs: numpy's complex absolute rounds differently from
     # Python's abs(complex), which the unstacked form has always used
     overlap = np.hypot(trace.real, trace.imag)
-    out = np.sqrt(np.fmax(0.0, na + nb - 2.0 * overlap))
+    out = np.sqrt(np.maximum(0.0, na + nb - 2.0 * overlap))
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,8 +5,9 @@ Six subcommands wire the file formats to the library: ``decompose``,
 Every run writes one report file -- JSON with the fixed top level
 ``{"version", "config", "results", "bound_reports"}`` or a CSV of the
 bound reports -- deterministically: the same flags and seed produce the
-same bytes.  Exit codes: 0 all checks pass, 1 a bound check failed,
-2 parse or validation error, 3 infeasible optimization.
+same bytes, and the distance search draws no random numbers.  Exit
+codes: 0 all checks pass, 1 a bound check failed, 2 parse or validation
+error or any unexpected internal error, 3 infeasible optimization.
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ def _guarded(body):
         _fail(EXIT_INVALID, str(exc))
     except OSError as exc:
         _fail(EXIT_INVALID, f"{exc.filename or ''}: {exc.strerror or exc}")
+    except Exception as exc:
+        # exit 1 means a bound check failed; a crash must never read as one
+        _fail(EXIT_INVALID, f"internal error: {type(exc).__name__}: {exc}")
 
 
 format_option = click.option(
@@ -98,7 +102,10 @@ out_option = click.option(
     "--out", type=click.Path(dir_okay=False), default=None,
     help=f"Report path (default: <command>_report.<format> under ${OUT_DIR_ENV} or '.').",
 )
-seed_option = click.option("--seed", type=int, default=0, show_default=True, help="Master RNG seed.")
+seed_option = click.option(
+    "--seed", type=int, default=0, show_default=True,
+    help="Master RNG seed (echoed in the report; only the distortion sampler draws random numbers).",
+)
 p_option = click.option(
     "--p", type=float, default=None,
     help="Penalty factor on weight-3+ directions (default: 2^n).",
@@ -106,10 +113,6 @@ p_option = click.option(
 segments_option = click.option(
     "--segments", type=click.IntRange(min=1), default=8, show_default=True,
     help="Schedule segments used by the distance optimizer.",
-)
-restarts_option = click.option(
-    "--restarts", type=click.IntRange(min=0), default=16, show_default=True,
-    help="Random restarts for the distance optimizer.",
 )
 
 
@@ -168,21 +171,20 @@ def decompose(matrix_path, out, fmt):
               help="Target unitary file (JSON with n, re, im).")
 @p_option
 @segments_option
-@restarts_option
 @seed_option
 @out_option
 @format_option
-def distance(unitary_path, p, segments, restarts, seed, out, fmt):
+def distance(unitary_path, p, segments, seed, out, fmt):
     """Bracket the distance from the identity to a target unitary."""
 
     def body():
         target = load_unitary(unitary_path)
         metric = _metric(target.n, p)
-        settings = OptimizerSettings(segments=segments, restarts=restarts, seed=seed)
+        settings = OptimizerSettings(segments=segments)
         estimate = distance_upper(target, metric, settings)
         config = {
             "command": "distance", "unitary": unitary_path, "n": target.n, "p": metric.p,
-            "segments": segments, "restarts": restarts, "seed": seed, "out": out, "format": fmt,
+            "segments": segments, "seed": seed, "out": out, "format": fmt,
         }
         _finish("distance", config, _estimate_to_results(estimate), [_bracket_report(estimate)], out, fmt)
 
@@ -196,13 +198,12 @@ def distance(unitary_path, p, segments, restarts, seed, out, fmt):
 @click.option("--delta", default="auto", show_default=True,
               help="Slice width, or 'auto' to derive one from the distance estimate.")
 @segments_option
-@restarts_option
 @seed_option
 @click.option("--gates-out", type=click.Path(dir_okay=False), default=None,
               help="Also write the synthesized gate sequence to this file.")
 @out_option
 @format_option
-def simulate(schedule_path, p, delta, segments, restarts, seed, gates_out, out, fmt):
+def simulate(schedule_path, p, delta, segments, seed, gates_out, out, fmt):
     """Synthesize a schedule into weight-2 gates and check the length sandwich."""
 
     def body():
@@ -215,13 +216,13 @@ def simulate(schedule_path, p, delta, segments, restarts, seed, gates_out, out, 
                 raise ValidationError(f"--delta must be a number or 'auto', got {delta!r}")
         else:
             width = "auto"
-        settings = OptimizerSettings(segments=segments, restarts=restarts, seed=seed)
+        settings = OptimizerSettings(segments=segments)
         result = run_simulate(schedule, metric, width, optimizer_settings=settings)
         if gates_out:
             save_gates(gates_out, result.gate_sequence)
         config = {
             "command": "simulate", "schedule": schedule_path, "n": schedule.n, "p": metric.p,
-            "delta": delta, "segments": segments, "restarts": restarts, "seed": seed,
+            "delta": delta, "segments": segments, "seed": seed,
             "gates_out": gates_out, "out": out, "format": fmt,
         }
         results = {
@@ -242,17 +243,16 @@ def simulate(schedule_path, p, delta, segments, restarts, seed, gates_out, out, 
               help="Target unitary file (JSON with n, re, im).")
 @p_option
 @segments_option
-@restarts_option
 @seed_option
 @out_option
 @format_option
-def verify(unitary_path, p, segments, restarts, seed, out, fmt):
+def verify(unitary_path, p, segments, seed, out, fmt):
     """Estimate the distance to a target and verify the chart sandwiches."""
 
     def body():
         target = load_unitary(unitary_path)
         metric = _metric(target.n, p)
-        settings = OptimizerSettings(segments=segments, restarts=restarts, seed=seed)
+        settings = OptimizerSettings(segments=segments)
         estimate = distance_upper(target, metric, settings)
         reports = [_bracket_report(estimate)]
         rhos = []
@@ -278,7 +278,7 @@ def verify(unitary_path, p, segments, restarts, seed, out, fmt):
             )
         config = {
             "command": "verify", "unitary": unitary_path, "n": target.n, "p": metric.p,
-            "segments": segments, "restarts": restarts, "seed": seed, "out": out, "format": fmt,
+            "segments": segments, "seed": seed, "out": out, "format": fmt,
         }
         results = _estimate_to_results(estimate)
         results["segment_rhos"] = rhos

@@ -26,13 +26,21 @@ import numpy as np
 
 from .charts import Unitary
 from .errors import ValidationError
-from .pauli import CoeffVector, PauliString
+from .pauli import MAX_QUBITS, CoeffVector, PauliString
 from .simulation import Gate, GateSequence, Schedule
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
+
+
+def _qubits(n, source: str) -> int:
+    """The ``n`` field, checked before anything is sized by it (``2**n`` for
+    a huge ``n`` would exhaust memory)."""
+    _require(type(n) is int and 1 <= n <= MAX_QUBITS,
+             f"{source}: 'n' must be an integer from 1 to {MAX_QUBITS}")
+    return n
 
 
 def _number(value, what: str) -> float:
@@ -49,8 +57,7 @@ def _as_complex(payload: dict, path: str) -> tuple[int, np.ndarray]:
     _require(isinstance(payload, dict), f"{path}: expected a JSON object")
     for key in ("n", "re", "im"):
         _require(key in payload, f"{path}: missing key {key!r}")
-    n = payload["n"]
-    _require(isinstance(n, int) and n >= 1, f"{path}: 'n' must be a positive integer")
+    n = _qubits(payload["n"], path)
     try:
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
@@ -93,8 +100,7 @@ def schedule_from_dict(payload: dict, source: str = "<schedule>") -> Schedule:
     _require(isinstance(payload, dict), f"{source}: expected a JSON object")
     for key in ("n", "segments"):
         _require(key in payload, f"{source}: missing key {key!r}")
-    n = payload["n"]
-    _require(isinstance(n, int) and n >= 1, f"{source}: 'n' must be a positive integer")
+    n = _qubits(payload["n"], source)
     segments = payload["segments"]
     _require(isinstance(segments, list) and segments, f"{source}: 'segments' must be a nonempty list")
     rows = []
@@ -140,8 +146,7 @@ def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
     _require(isinstance(payload, dict), f"{source}: expected a JSON object")
     for key in ("n", "delta", "gates"):
         _require(key in payload, f"{source}: missing key {key!r}")
-    n = payload["n"]
-    _require(isinstance(n, int) and n >= 1, f"{source}: 'n' must be a positive integer")
+    n = _qubits(payload["n"], source)
     delta = _number(payload["delta"], f"{source}: 'delta'")
     entries = payload["gates"]
     _require(isinstance(entries, list), f"{source}: 'gates' must be a list")

@@ -17,7 +17,6 @@ from .charts import Unitary, eigen_exp, identity, log_coords, phase_aligned_frob
 from .errors import BranchCutError, DomainError, InfeasibleError, ValidationError
 from .metric import MetricConfig, _weighted_norm, distortion_constants, penalty_weights
 from .pauli import basis_matrices
-from .seeding import substream
 from .simulation import Schedule
 
 #: Phase-aligned Frobenius distance at which a schedule counts as reaching
@@ -75,23 +74,24 @@ def distance_lower(target: Unitary, config: MetricConfig) -> float:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Budget for the upper-bound schedule search."""
+    """Budget for the upper-bound schedule search.
+
+    ``segments`` is the number of constant segments in the witness
+    schedule and ``max_sweeps`` caps the sweeps of its one deterministic
+    run; the search draws no random numbers.
+    """
 
     segments: int = 8
-    restarts: int = 16
-    seed: int = 0
     max_sweeps: int = 40
 
     def __post_init__(self):
         if self.segments < 1:
             raise ValidationError("at least one segment is required")
-        if self.restarts < 0:
-            raise ValidationError("restart count must be nonnegative")
 
 
 @dataclass(frozen=True)
 class OptimizerStats:
-    """Search accounting: runs executed, trial evaluations, winning endpoint error."""
+    """Search accounting: runs executed (0 or 1), trial evaluations, winning endpoint error."""
 
     runs: int
     evaluations: int
@@ -130,13 +130,17 @@ class _Candidate:
 
 
 def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSettings, ys, taus):
-    """Greedy first-improvement coordinate descent over one start point.
+    """Greedy first-improvement coordinate descent from the start ``ys``, ``taus``.
 
     Minimizes ``length + w * err^2`` where ``err`` is the phase-aligned
     Frobenius endpoint mismatch; ``w`` grows by ``PENALTY_GROWTH`` after
     any sweep that ends infeasible, so the endpoint constraint hardens
-    over time.  Returns (best feasible candidate or None, best endpoint
-    error seen, trial evaluations).
+    over time, and the step is halved only after a sweep that ends
+    feasible without an accepted move.  Runs at most
+    ``settings.max_sweeps`` sweeps and updates ``ys`` and ``taus`` in
+    place.  Returns (best feasible candidate or None, best endpoint error
+    seen, trial evaluations).  :func:`distance_upper` calls it once, from
+    the one-parameter-subgroup start, which is feasible from the outset.
 
     Within segment ``j`` the trials run in the order ``(c, +step)``,
     ``(c, -step)`` for each coordinate ``c``, then ``tau +/- step`` (a tau
@@ -259,63 +263,45 @@ def distance_upper(
 ) -> DistanceEstimate:
     """Length of a feasible schedule reaching ``target``, plus the chart lower bound.
 
-    Runs the coordinate search from a one-parameter-subgroup start (when
-    the target lies in the principal chart) and from seeded random starts;
-    the returned upper value is the exact length of the best witness
-    schedule, so it bounds the true distance from above by construction.
-    Endpoints compare modulo global phase.
+    Runs the coordinate search once, from the one-parameter-subgroup start
+    ``y_j = log_coords(target) / segments``, ``tau_j = 1``, which reaches the
+    target by construction; the search is deterministic.  The returned
+    upper value is the exact length of the best witness schedule, so it
+    bounds the true distance from above.  Endpoints compare modulo global
+    phase; a target within ``IDENTITY_SHORTCUT`` of the identity gets the
+    empty witness and no run.
 
-    Raises ``InfeasibleError`` when no run reaches the endpoint tolerance.
+    Raises ``InfeasibleError`` without searching when the target has no
+    principal logarithm (``log_coords`` raises: branch cut or global-phase
+    obstruction), and when the run ends without reaching the endpoint
+    tolerance.
     """
     if settings is None:
         settings = OptimizerSettings()
     if target.n != config.n:
         raise DomainError(f"target qubit count {target.n} does not match config {config.n}")
     n_segments = settings.segments
-    dim_coords = 4**config.n - 1
 
     try:
-        lower = distance_lower(target, config)
+        subgroup = log_coords(target, identity(config.n))
     except (BranchCutError, ValidationError):
-        lower = 0.0
+        subgroup = None
+    m_lower, _ = distortion_constants(config)
+    lower = 0.0 if subgroup is None else m_lower * subgroup.norm
 
     empty_error = phase_aligned_frobenius(np.eye(2**config.n, dtype=complex), target.matrix)
     if empty_error <= IDENTITY_SHORTCUT:
         stats = OptimizerStats(runs=0, evaluations=0, endpoint_error=empty_error)
         return DistanceEstimate(lower, 0.0, Schedule.from_segments(config.n, [], []), stats)
-
-    subgroup = None
-    try:
-        subgroup = log_coords(target, identity(config.n))
-    except (BranchCutError, ValidationError):
-        pass
-
-    starts = []
-    if subgroup is not None:
-        ys = np.repeat((subgroup.values / n_segments)[None, :], n_segments, axis=0)
-        starts.append((ys, np.ones(n_segments)))
-    start_scale = max(subgroup.norm if subgroup is not None else 1.0, 0.1) / n_segments
-    for restart in range(settings.restarts):
-        rng = substream(settings.seed, "distance-upper", restart)
-        starts.append((rng.normal(0.0, start_scale, (n_segments, dim_coords)), np.ones(n_segments)))
-
-    if not starts:
+    if subgroup is None:
         raise InfeasibleError(empty_error, ENDPOINT_TOL)
 
-    best = None
-    best_error = empty_error
-    evaluations = 0
-    for ys, taus in starts:
-        candidate, run_error, run_evals = _search(target.matrix, config, settings, ys, taus)
-        evaluations += run_evals
-        best_error = min(best_error, run_error)
-        if candidate is not None and (best is None or candidate.length < best.length):
-            best = candidate
-
+    ys = np.repeat((subgroup.values / n_segments)[None, :], n_segments, axis=0)
+    best, run_error, evaluations = _search(target.matrix, config, settings, ys, np.ones(n_segments))
     if best is None:
-        raise InfeasibleError(best_error, ENDPOINT_TOL)
+        raise InfeasibleError(run_error, ENDPOINT_TOL)
 
     witness = Schedule.from_segments(config.n, best.ys, best.taus)
     upper = path_length(witness, config)
-    stats = OptimizerStats(runs=len(starts), evaluations=evaluations, endpoint_error=best.error)
+    stats = OptimizerStats(runs=1, evaluations=evaluations, endpoint_error=best.error)
     return DistanceEstimate(lower, upper, witness, stats)

@@ -1,8 +1,8 @@
 """Deterministic RNG substreams derived from a single master seed.
 
 Every random draw in the package flows through :func:`substream`, so a run
-is reproduced exactly by its seed, and independent consumers (optimizer
-restarts, samplers) get non-overlapping streams without coordination.
+is reproduced exactly by its seed, and independent consumers (such as
+samplers) get non-overlapping streams without coordination.
 """
 
 from __future__ import annotations

@@ -163,7 +163,7 @@ def test_criterion_06_distortion_monte_carlo():
 
 def test_criterion_07_distance_consistency():
     rng = np.random.default_rng(707)
-    settings = OptimizerSettings(segments=2, restarts=2, seed=7)
+    settings = OptimizerSettings(segments=2)
     consistent = True
     for index in range(50):
         n = 1 + index % 2
@@ -285,7 +285,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         "n": 1, "segments": [{"tau": 1.0, "y": {"X": 0.5}}],
     }))
 
-    fast = ["--segments", "2", "--restarts", "1", "--seed", "9"]
+    fast = ["--segments", "2", "--seed", "9"]
     invocations = {
         "decompose": ["decompose", "--matrix", str(matrix_path)],
         "distance": ["distance", "--unitary", str(unitary_path), *fast],

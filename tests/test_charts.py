@@ -147,3 +147,13 @@ def test_phase_aligned_frobenius():
     v = haar_unitary(rng, 2).matrix
     assert phase_aligned_frobenius(u, v) > 0.1
     assert abs(phase_aligned_frobenius(u, v) - phase_aligned_frobenius(v, u)) < 1e-12
+
+
+def test_phase_aligned_frobenius_propagates_nan():
+    # a NaN endpoint must never read as distance 0, i.e. as reaching the target
+    nan = np.full((2, 2), np.nan)
+    assert np.isnan(phase_aligned_frobenius(nan, np.eye(2)))
+    assert np.isnan(phase_aligned_frobenius(np.eye(2), nan))
+    stacked = phase_aligned_frobenius(np.stack([np.eye(2), nan, np.eye(2)]), np.eye(2))
+    assert stacked[0] == 0.0 and stacked[2] == 0.0
+    assert np.isnan(stacked[1])

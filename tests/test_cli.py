@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from circuit_geometry import cli
 from circuit_geometry.cli import main
 from util import subprocess_env
 
@@ -39,7 +43,7 @@ def _identity(tmp_path, n=1, name="identity.json"):
 
 SCHEDULE = {"n": 1, "segments": [{"tau": 1.0, "y": {"X": 0.5}}]}
 
-FAST = ["--segments", "2", "--restarts", "2"]
+FAST = ["--segments", "2"]
 
 
 def _report(path):
@@ -196,15 +200,117 @@ def test_distance_reports_are_byte_identical(runner, tmp_path):
 
 def test_infeasible_target_exits_3(runner, tmp_path):
     # diagonal with eigenvalues pinned to the branch cut: the subgroup
-    # start is rejected, and with no restarts nothing else is tried
+    # start is rejected, so there is nothing to search
     phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
     matrix = np.diag(np.exp(1j * phases))
     target = _write(tmp_path, "cut.json", {
         "n": 2, "re": matrix.real.tolist(), "im": matrix.imag.tolist(),
     })
-    result = runner.invoke(main, ["distance", "--unitary", target, "--restarts", "0",
+    result = runner.invoke(main, ["distance", "--unitary", target,
                                   "--out", str(tmp_path / "r.json")])
     assert result.exit_code == 3
+
+
+def test_branch_cut_target_exits_3_without_searching(runner, tmp_path):
+    phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
+    matrix = np.diag(np.exp(1j * phases))
+    target = _write(tmp_path, "cut.json", {
+        "n": 2, "re": matrix.real.tolist(), "im": matrix.imag.tolist(),
+    })
+    started = time.perf_counter()
+    result = runner.invoke(main, ["distance", "--unitary", target, "--out", str(tmp_path / "r.json")])
+    elapsed = time.perf_counter() - started
+    assert result.exit_code == 3
+    assert "no feasible schedule" in result.stderr
+    assert elapsed < 0.25
+
+
+def test_distance_echoes_seed(runner, tmp_path):
+    out = tmp_path / "d.json"
+    result = runner.invoke(main, ["distance", "--unitary", _x_rotation(tmp_path), "--seed", "5",
+                                  "--out", str(out), *FAST])
+    assert result.exit_code == 0, result.output
+    config = _report(out)["config"]
+    assert config["seed"] == 5
+    assert "restarts" not in config
+
+
+def test_unexpected_exception_exits_2(runner, tmp_path, monkeypatch):
+    # exit 1 means "a bound check failed"; a crash must never read as one
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "distance_upper", broken)
+    result = runner.invoke(main, ["distance", "--unitary", _x_rotation(tmp_path),
+                                  "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert "error: internal error: RuntimeError: boom" in result.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_guard_lets_interrupts_through():
+    def interrupted():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        cli._guarded(interrupted)
+    with pytest.raises(SystemExit) as exit_info:
+        cli._guarded(lambda: sys.exit(0))
+    assert exit_info.value.code == 0
+
+
+#: Values the fuzz writes over entries of a valid file: numbers (NaN,
+#: infinities, integers no float can hold) and values of the wrong type.
+NUMBERS = st.one_of(st.floats(), st.integers(-3, 3), st.just(10**400))
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), NUMBERS, st.lists(NUMBERS, max_size=2))
+
+
+def _matrix_file(matrix):
+    matrix = np.asarray(matrix, dtype=complex)
+    return {"n": len(matrix).bit_length() - 1, "re": matrix.real.tolist(), "im": matrix.imag.tolist()}
+
+
+#: Valid files to mutate.  X and Z(x)Z decompose; the identity and
+#: exp(-0.3i X) have a distance (exit 0), and Z(x)Z sits on the branch cut (exit 3).
+MATRIX_FILES = [_matrix_file(m) for m in (
+    np.eye(2), [[0, 1], [1, 0]], np.diag([1, -1, -1, 1]),
+    [[np.cos(0.3), -1j * np.sin(0.3)], [-1j * np.sin(0.3), np.cos(0.3)]],
+)]
+SCHEDULE_FILES = [SCHEDULE, {"n": 2, "segments": [{"tau": 0.5, "y": {"XX": 0.3, "ZI": -0.2}},
+                                                  {"tau": 0.2, "y": {"YI": 0.1}}]}]
+
+
+@st.composite
+def _mutants(draw, files):
+    """One of ``files`` with up to two entries, at any depth, replaced by junk."""
+    payload = json.loads(json.dumps(draw(st.sampled_from(files))))
+    for _ in range(draw(st.integers(0, 2))):
+        node = payload
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+            else:
+                node[key] = draw(JUNK)
+                break
+    return payload
+
+
+READERS = st.one_of(
+    st.tuples(st.just(["decompose", "--matrix"]), _mutants(MATRIX_FILES)),
+    st.tuples(st.just(["distance", "--segments", "1", "--unitary"]), _mutants(MATRIX_FILES)),
+    st.tuples(st.just(["simulate", "--delta", "0.5", "--schedule"]), _mutants(SCHEDULE_FILES)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(READERS)
+def test_json_readers_never_exit_1(runner, tmp_path, case):
+    args, payload = case
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, [*args, str(path), "--out", str(tmp_path / "r.json")])
+    assert result.exit_code in (0, 2, 3), (payload, result.output)
 
 
 def test_scaling_happy(runner, tmp_path):
@@ -311,3 +417,19 @@ def test_oversize_schedule_exits_2(tmp_path, tau, delta):
     )
     assert proc.returncode == 2, proc.stderr
     assert "the limit is" in proc.stderr
+
+
+@pytest.mark.parametrize("command, option, payload", [
+    ("decompose", "--matrix", {"n": 10**12, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}),
+    ("distance", "--unitary", {"n": 10**12, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}),
+    ("simulate", "--schedule", {"n": 10**12, "segments": [{"tau": 1.0, "y": {"X": 0.5}}]}),
+])
+def test_huge_qubit_count_exits_2(tmp_path, command, option, payload):
+    # the qubit count is range-checked before any 2**n is formed
+    path = _write(tmp_path, "huge_n.json", payload)
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CGEO, command, option, path, "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=120, env=subprocess_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "'n' must be an integer from 1 to 6" in proc.stderr

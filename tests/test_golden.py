@@ -21,7 +21,7 @@ from circuit_geometry.cli import OUT_DIR_ENV, main
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = os.path.join(GOLDEN, "inputs")
 
-FAST = ["--segments", "2", "--restarts", "2"]
+FAST = ["--segments", "2"]
 
 #: Case name -> (cgeo arguments, report format).  Every case writes its
 #: report to ``<case>.<format>``; ``simulate_fixed`` also writes its gates.

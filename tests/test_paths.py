@@ -166,8 +166,6 @@ def test_distance_lower_branch_cut():
 def test_optimizer_settings_validation():
     with pytest.raises(ValidationError):
         OptimizerSettings(segments=0)
-    with pytest.raises(ValidationError):
-        OptimizerSettings(restarts=-1)
 
 
 def test_estimate_validation():
@@ -188,7 +186,7 @@ def test_distance_upper_identity():
     assert estimate.witness.segments == ()
 
 
-SMALL = OptimizerSettings(segments=2, restarts=2, max_sweeps=15)
+SMALL = OptimizerSettings(segments=2, max_sweeps=15)
 
 
 def test_distance_upper_pinches_subgroup():
@@ -226,7 +224,7 @@ def test_distance_upper_infeasible():
     phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
     u = Unitary(2, np.diag(np.exp(-1j * phases)))
     with pytest.raises(InfeasibleError):
-        distance_upper(u, MetricConfig(2, 2.0), OptimizerSettings(restarts=0))
+        distance_upper(u, MetricConfig(2, 2.0), OptimizerSettings())
 
 
 def test_distance_upper_penalty_prices_hard_directions():
@@ -235,7 +233,7 @@ def test_distance_upper_penalty_prices_hard_directions():
     cfg = MetricConfig(3, 4.0)
     y = _axis(3, "XXX", 0.4)
     u = exp_coords(y, identity(3))
-    estimate = distance_upper(u, cfg, OptimizerSettings(segments=1, restarts=0, max_sweeps=6))
+    estimate = distance_upper(u, cfg, OptimizerSettings(segments=1, max_sweeps=6))
     assert estimate.lower == pytest.approx(0.4, abs=1e-9)
     assert estimate.upper <= 4.0 * 0.4 + 1e-6
     assert estimate.upper >= estimate.lower - 1e-9
@@ -251,7 +249,7 @@ def test_distance_bracket_n3_with_penalty(seed):
     a, b = (CoeffVector(3, local * random_coeffs(rng, 3).values * 0.15) for _ in range(2))
     target = Unitary(3, exp_coords(a, identity(3)).matrix @ exp_coords(b, identity(3)).matrix)
     cfg = MetricConfig(3, 8.0)
-    estimate = distance_upper(target, cfg, OptimizerSettings(segments=2, restarts=1, seed=seed))
+    estimate = distance_upper(target, cfg, OptimizerSettings(segments=2))
     assert estimate.lower <= estimate.upper + ENDPOINT_TOL
     # the one-parameter-subgroup start is always a recorded candidate
     assert estimate.upper <= minkowski_norm(log_coords(target, identity(3)), cfg) + 1e-9
@@ -406,7 +404,7 @@ def test_search_kernel_matches_scalar_oracle(monkeypatch, n, segments):
     target = exp_coords(random_coeffs(rng, n, scale=0.7), identity(n))
     cfg = MetricConfig(n, 2.0**n)
     sweeps = {1: 40, 2: 12, 3: 4}[n]
-    settings = OptimizerSettings(segments=segments, restarts=2, seed=segments, max_sweeps=sweeps)
+    settings = OptimizerSettings(segments=segments, max_sweeps=sweeps)
     want = _run_kernel(monkeypatch, _reference_search, target, cfg, settings)
     got = _run_kernel(monkeypatch, paths._search, target, cfg, settings)
     assert not isinstance(want, str)
@@ -428,11 +426,48 @@ def test_search_kernel_matches_scalar_oracle(monkeypatch, n, segments):
         assert np.array_equal(got[0].ys, want[0].ys) and np.array_equal(got[0].taus, want[0].taus)
 
 
-def test_search_kernel_matches_scalar_oracle_infeasible(monkeypatch):
+def test_search_kernel_matches_scalar_oracle_infeasible():
+    # distance_upper never searches toward a target on the branch cut, so
+    # both kernels run directly from one seeded random start that stays
+    # infeasible: the best error, the count and the final state agree
     phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
     target = Unitary(2, np.diag(np.exp(-1j * phases)))
-    settings = OptimizerSettings(segments=2, restarts=1, max_sweeps=3)
-    want = _run_kernel(monkeypatch, _reference_search, target, MetricConfig(2, 2.0), settings)
-    got = _run_kernel(monkeypatch, paths._search, target, MetricConfig(2, 2.0), settings)
-    assert isinstance(want, str) and "no feasible schedule" in want
-    _assert_same_estimate(want, got)
+    cfg = MetricConfig(2, 2.0)
+    settings = OptimizerSettings(segments=2, max_sweeps=3)
+    start = np.random.default_rng(434).normal(0.0, 0.5, (2, 15)), np.ones(2)
+    want_ys, want_taus = start[0].copy(), start[1].copy()
+    got_ys, got_taus = start[0].copy(), start[1].copy()
+    want = _reference_search(target.matrix, cfg, settings, want_ys, want_taus)
+    got = paths._search(target.matrix, cfg, settings, got_ys, got_taus)
+    assert want[0] is None and want[1] > ENDPOINT_TOL
+    assert not np.array_equal(want_ys, start[0])  # the run accepted moves
+    assert got[1:] == want[1:]
+    assert np.array_equal(got_ys, want_ys) and np.array_equal(got_taus, want_taus)
+    assert got[0] is None
+
+
+@pytest.mark.parametrize("n, segments, sweeps", [(2, 3, 12), (3, 2, 4)])
+def test_distance_upper_runs_one_search_from_subgroup_start(n, segments, sweeps):
+    rng = np.random.default_rng(500 + n)
+    target = exp_coords(random_coeffs(rng, n, scale=0.7), identity(n))
+    cfg = MetricConfig(n, 2.0**n)
+    settings = OptimizerSettings(segments=segments, max_sweeps=sweeps)
+    estimate = distance_upper(target, cfg, settings)
+    ys = np.repeat((log_coords(target, identity(n)).values / segments)[None, :], segments, axis=0)
+    best, _, evaluations = paths._search(target.matrix, cfg, settings, ys, np.ones(segments))
+    assert estimate.stats.runs == 1
+    assert estimate.stats.evaluations == evaluations > 0
+    assert estimate.stats.endpoint_error == best.error
+    assert np.array_equal(estimate.witness.values, best.ys)
+
+
+def test_distance_upper_branch_cut_raises_without_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a branch-cut target must not be searched")
+
+    monkeypatch.setattr(paths, "_search", no_search)
+    phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
+    u = Unitary(2, np.diag(np.exp(-1j * phases)))
+    with pytest.raises(InfeasibleError, match="no feasible schedule"):
+        distance_upper(u, MetricConfig(2, 2.0))
+    assert distance_upper(identity(2), MetricConfig(2, 2.0)).stats.runs == 0

@@ -327,7 +327,7 @@ def test_simulate_auto_delta():
     from circuit_geometry import OptimizerSettings
 
     result = simulate(sched, cfg, "auto",
-                      optimizer_settings=OptimizerSettings(segments=2, restarts=1, max_sweeps=10))
+                      optimizer_settings=OptimizerSettings(segments=2, max_sweeps=10))
     assert 0 < result.gate_sequence.delta <= 1.0
     assert result.endpoint_error < 0.05
     with pytest.raises(DomainError):
