@@ -5,13 +5,21 @@ Six subcommands wire the file formats to the library: ``decompose``,
 Every run writes one report file -- JSON with the fixed top level
 ``{"version", "config", "results", "bound_reports"}`` or a CSV of the
 bound reports -- deterministically: the same flags and seed produce the
-same bytes, and the distance search draws no random numbers.  Exit
-codes: 0 all checks pass, 1 a bound check failed, 2 parse or validation
-error or any unexpected internal error, 3 infeasible optimization.
+same bytes, and the distance search draws no random numbers.  The
+``config`` block echoes the command name, every option, and the resolved
+qubit count ``n`` and penalty ``p``.  Exit codes: 0 all checks pass, 1 a
+bound check failed, 2 parse or validation error or any unexpected
+internal error, 3 infeasible optimization, 130 interrupted.
+
+``simulate --delta auto`` is a policy of this front end, not of the
+library: the slice width is ``1 / (n^2 d_hat)`` clipped to the schedule
+duration, with ``d_hat`` the distance upper bound for the schedule
+endpoint (Nielsen-Dowling-Gu-Doherty, quant-ph/0603161).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 
@@ -39,6 +47,7 @@ from .metric import MetricConfig, PenaltyNorm, default_penalty, distortion_const
 from .paths import ENDPOINT_TOL, OptimizerSettings, distance_upper
 from .pauli import CoeffVector
 from .pauli import decompose as pauli_decompose
+from .simulation import schedule_endpoint
 from .simulation import simulate as run_simulate
 
 REPORT_VERSION = "1"
@@ -48,6 +57,8 @@ EXIT_OK = 0
 EXIT_BOUND_FAILURE = 1
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
+#: The shell's code for a process ended by SIGINT (128 + 2).
+EXIT_INTERRUPTED = 130
 
 #: Acceptance band for the gate-count scaling slope.
 EXPECTED_SLOPE = 2.0
@@ -58,8 +69,14 @@ def _default_out(command: str, fmt: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{command}_report.{fmt}")
 
 
-def _finish(command: str, config: dict, results: dict, reports: list, out: str | None, fmt: str) -> None:
-    out = out or _default_out(command, fmt)
+def _finish(
+    command: str, options: dict, metric: MetricConfig | None, results: dict, reports: list
+) -> None:
+    config = {"command": command, **options}
+    if metric is not None:
+        config.update(n=metric.n, p=metric.p)
+    fmt = options["format"]
+    out = options["out"] or _default_out(command, fmt)
     if fmt == "json":
         payload = {
             "version": REPORT_VERSION,
@@ -92,10 +109,34 @@ def _guarded(body):
     except Exception as exc:
         # exit 1 means a bound check failed; a crash must never read as one
         _fail(EXIT_INVALID, f"internal error: {type(exc).__name__}: {exc}")
+    except KeyboardInterrupt:
+        # click would print "Aborted!" and exit 1, the bound-failure code
+        _fail(EXIT_INTERRUPTED, "interrupted")
+
+
+@click.group()
+def main():
+    """Penalty-metric circuit geometry on SU(2^n)."""
+
+
+def _subcommand(function):
+    """Register ``function`` as a subcommand of :func:`main` under the exit-code contract.
+
+    The function receives every option as a keyword and returns
+    ``(metric, results, reports)``: the resolved :class:`MetricConfig`
+    (``None`` for a command without one), the report's ``results`` block
+    and its bound reports.
+    """
+
+    @functools.wraps(function)
+    def run(**options):
+        _guarded(lambda: _finish(function.__name__, options, *function(**options)))
+
+    return main.command()(run)
 
 
 format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True,
+    "--format", type=click.Choice(["json", "csv"]), default="json", show_default=True,
     help="Report format: full JSON or a CSV of the bound checks.",
 )
 out_option = click.option(
@@ -114,14 +155,26 @@ segments_option = click.option(
     "--segments", type=click.IntRange(min=1), default=8, show_default=True,
     help="Schedule segments used by the distance optimizer.",
 )
+unitary_option = click.option(
+    "--unitary", type=click.Path(exists=False), required=True,
+    help="Target unitary file (JSON with n, re, im).",
+)
+schedule_option = click.option(
+    "--schedule", type=click.Path(exists=False), required=True,
+    help="Piecewise-constant schedule file (JSON with n, segments).",
+)
 
 
 def _metric(n: int, p: float | None) -> MetricConfig:
     return MetricConfig(n, default_penalty(n) if p is None else p)
 
 
-def _estimate_to_results(estimate) -> dict:
-    return {
+def _bracket(unitary: str, p: float | None, segments: int):
+    """Bracket the distance to the target in ``unitary``: ``(metric, estimate, results, reports)``."""
+    target = load_unitary(unitary)
+    metric = _metric(target.n, p)
+    estimate = distance_upper(target, metric, OptimizerSettings(segments=segments))
+    results = {
         "lower": estimate.lower,
         "upper": estimate.upper,
         "witness": schedule_to_dict(estimate.witness),
@@ -131,69 +184,44 @@ def _estimate_to_results(estimate) -> dict:
             "endpoint_error": estimate.stats.endpoint_error,
         },
     }
-
-
-def _bracket_report(estimate) -> BoundReport:
     # the lower estimate must not exceed the upper beyond the optimizer's
     # endpoint feasibility tolerance
-    return BoundReport("distance-bracket", 0.0, estimate.lower, estimate.upper + ENDPOINT_TOL)
+    report = BoundReport("distance-bracket", 0.0, estimate.lower, estimate.upper + ENDPOINT_TOL)
+    return metric, estimate, results, [report]
 
 
-@click.group()
-def main():
-    """Penalty-metric circuit geometry on SU(2^n)."""
-
-
-@main.command()
-@click.option("--matrix", "matrix_path", type=click.Path(exists=False), required=True,
+@_subcommand
+@click.option("--matrix", type=click.Path(exists=False), required=True,
               help="Traceless Hermitian matrix file (JSON with n, re, im).")
 @out_option
 @format_option
-def decompose(matrix_path, out, fmt):
+def decompose(matrix, **_):
     """Expand a traceless Hermitian matrix over the Pauli basis."""
-
-    def body():
-        n, matrix = load_matrix(matrix_path)
-        coefficients = pauli_decompose(matrix, n)
-        config = {"command": "decompose", "matrix": matrix_path, "out": out, "format": fmt}
-        results = {
-            "n": n,
-            "coefficients": coefficients.to_words(),
-            "euclidean_norm": coefficients.norm,
-        }
-        _finish("decompose", config, results, [], out, fmt)
-
-    _guarded(body)
+    n, values = load_matrix(matrix)
+    coefficients = pauli_decompose(values, n)
+    results = {
+        "n": n,
+        "coefficients": coefficients.to_words(),
+        "euclidean_norm": coefficients.norm,
+    }
+    return None, results, []
 
 
-@main.command()
-@click.option("--unitary", "unitary_path", type=click.Path(exists=False), required=True,
-              help="Target unitary file (JSON with n, re, im).")
+@_subcommand
+@unitary_option
 @p_option
 @segments_option
 @seed_option
 @out_option
 @format_option
-def distance(unitary_path, p, segments, seed, out, fmt):
+def distance(unitary, p, segments, **_):
     """Bracket the distance from the identity to a target unitary."""
-
-    def body():
-        target = load_unitary(unitary_path)
-        metric = _metric(target.n, p)
-        settings = OptimizerSettings(segments=segments)
-        estimate = distance_upper(target, metric, settings)
-        config = {
-            "command": "distance", "unitary": unitary_path, "n": target.n, "p": metric.p,
-            "segments": segments, "seed": seed, "out": out, "format": fmt,
-        }
-        _finish("distance", config, _estimate_to_results(estimate), [_bracket_report(estimate)], out, fmt)
-
-    _guarded(body)
+    metric, _estimate, results, reports = _bracket(unitary, p, segments)
+    return metric, results, reports
 
 
-@main.command()
-@click.option("--schedule", "schedule_path", type=click.Path(exists=False), required=True,
-              help="Piecewise-constant schedule file (JSON with n, segments).")
+@_subcommand
+@schedule_option
 @p_option
 @click.option("--delta", default="auto", show_default=True,
               help="Slice width, or 'auto' to derive one from the distance estimate.")
@@ -203,91 +231,69 @@ def distance(unitary_path, p, segments, seed, out, fmt):
               help="Also write the synthesized gate sequence to this file.")
 @out_option
 @format_option
-def simulate(schedule_path, p, delta, segments, seed, gates_out, out, fmt):
+def simulate(schedule, p, delta, segments, gates_out, **_):
     """Synthesize a schedule into weight-2 gates and check the length sandwich."""
-
-    def body():
-        schedule = load_schedule(schedule_path)
-        metric = _metric(schedule.n, p)
-        if delta != "auto":
-            try:
-                width = float(delta)
-            except ValueError:
-                raise ValidationError(f"--delta must be a number or 'auto', got {delta!r}")
-        else:
-            width = "auto"
+    loaded = load_schedule(schedule)
+    metric = _metric(loaded.n, p)
+    if delta == "auto":
         settings = OptimizerSettings(segments=segments)
-        result = run_simulate(schedule, metric, width, optimizer_settings=settings)
-        if gates_out:
-            save_gates(gates_out, result.gate_sequence)
-        config = {
-            "command": "simulate", "schedule": schedule_path, "n": schedule.n, "p": metric.p,
-            "delta": delta, "segments": segments, "seed": seed,
-            "gates_out": gates_out, "out": out, "format": fmt,
-        }
-        results = {
-            "delta": result.gate_sequence.delta,
-            "gate_count": result.gate_count,
-            "synthesized_length": result.synthesized_length,
-            "endpoint_error": result.endpoint_error,
-            "rho_inf": result.rho_inf,
-            "rho_sup": result.rho_sup,
-        }
-        _finish("simulate", config, results, [check_sim_sandwich(result, metric)], out, fmt)
+        upper = distance_upper(schedule_endpoint(loaded), metric, settings).upper
+        width = min(1.0 / (metric.n**2 * upper), loaded.duration) if upper > 0 else loaded.duration
+    else:
+        try:
+            width = float(delta)
+        except ValueError:
+            raise ValidationError(f"--delta must be a number or 'auto', got {delta!r}")
+    result = run_simulate(loaded, metric, width)
+    if gates_out:
+        save_gates(gates_out, result.gate_sequence)
+    results = {
+        "delta": result.gate_sequence.delta,
+        "gate_count": result.gate_count,
+        "synthesized_length": result.synthesized_length,
+        "endpoint_error": result.endpoint_error,
+        "rho_inf": result.rho_inf,
+        "rho_sup": result.rho_sup,
+    }
+    return metric, results, [check_sim_sandwich(result, metric)]
 
-    _guarded(body)
 
-
-@main.command()
-@click.option("--unitary", "unitary_path", type=click.Path(exists=False), required=True,
-              help="Target unitary file (JSON with n, re, im).")
+@_subcommand
+@unitary_option
 @p_option
 @segments_option
 @seed_option
 @out_option
 @format_option
-def verify(unitary_path, p, segments, seed, out, fmt):
+def verify(unitary, p, segments, **_):
     """Estimate the distance to a target and verify the chart sandwiches."""
-
-    def body():
-        target = load_unitary(unitary_path)
-        metric = _metric(target.n, p)
-        settings = OptimizerSettings(segments=segments)
-        estimate = distance_upper(target, metric, settings)
-        reports = [_bracket_report(estimate)]
-        rhos = []
-        current = identity(target.n)
-        for index, (row, tau) in enumerate(estimate.witness.segments):
-            following = exp_coords(CoeffVector(target.n, row * tau), current)
-            report = check_segment_distortion(current, following, metric)
-            rhos.append(report.lower)
-            reports.append(
-                BoundReport(f"segment-distortion-{index}", report.lower, report.observed, report.upper)
+    metric, estimate, results, reports = _bracket(unitary, p, segments)
+    rhos = []
+    current = identity(metric.n)
+    for index, (row, tau) in enumerate(estimate.witness.segments):
+        following = exp_coords(CoeffVector(metric.n, row * tau), current)
+        report = check_segment_distortion(current, following, metric)
+        rhos.append(report.lower)
+        reports.append(
+            BoundReport(f"segment-distortion-{index}", report.lower, report.observed, report.upper)
+        )
+        current = following
+    if rhos:
+        m_lower, m_upper = distortion_constants(metric)
+        count = len(rhos)
+        reports.append(
+            BoundReport(
+                "decomposition-sandwich",
+                count * m_lower * min(rhos),
+                estimate.upper,
+                count * m_upper * max(rhos),
             )
-            current = following
-        if rhos:
-            m_lower, m_upper = distortion_constants(metric)
-            count = len(rhos)
-            reports.append(
-                BoundReport(
-                    "decomposition-sandwich",
-                    count * m_lower * min(rhos),
-                    estimate.upper,
-                    count * m_upper * max(rhos),
-                )
-            )
-        config = {
-            "command": "verify", "unitary": unitary_path, "n": target.n, "p": metric.p,
-            "segments": segments, "seed": seed, "out": out, "format": fmt,
-        }
-        results = _estimate_to_results(estimate)
-        results["segment_rhos"] = rhos
-        _finish("verify", config, results, reports, out, fmt)
-
-    _guarded(body)
+        )
+    results["segment_rhos"] = rhos
+    return metric, results, reports
 
 
-@main.command()
+@_subcommand
 @click.option("--n", "n", type=click.IntRange(1, 6), required=True, help="Qubit count.")
 @p_option
 @click.option("--samples", type=click.IntRange(min=1), default=100000, show_default=True,
@@ -295,67 +301,49 @@ def verify(unitary_path, p, segments, seed, out, fmt):
 @seed_option
 @out_option
 @format_option
-def distortion(n, p, samples, seed, out, fmt):
+def distortion(n, p, samples, seed, **_):
     """Estimate the distortion constants of the penalty norm by sampling."""
-
-    def body():
-        metric = _metric(n, p)
-        norm = PenaltyNorm(metric)
-        m_hat, big_m_hat = estimate_distortion(norm, n, samples, seed)
-        m_exact, big_m_exact = distortion_constants(metric)
-        reports = [
-            BoundReport("distortion-min", m_exact, m_hat, big_m_exact),
-            BoundReport("distortion-max", m_exact, big_m_hat, big_m_exact),
-        ]
-        config = {
-            "command": "distortion", "n": n, "p": metric.p, "samples": samples,
-            "seed": seed, "out": out, "format": fmt,
-        }
-        results = {
-            "m_hat": m_hat, "M_hat": big_m_hat,
-            "m_exact": m_exact, "M_exact": big_m_exact,
-        }
-        _finish("distortion", config, results, reports, out, fmt)
-
-    _guarded(body)
+    metric = _metric(n, p)
+    m_hat, big_m_hat = estimate_distortion(PenaltyNorm(metric), n, samples, seed)
+    m_exact, big_m_exact = distortion_constants(metric)
+    reports = [
+        BoundReport("distortion-min", m_exact, m_hat, big_m_exact),
+        BoundReport("distortion-max", m_exact, big_m_hat, big_m_exact),
+    ]
+    results = {
+        "m_hat": m_hat, "M_hat": big_m_hat,
+        "m_exact": m_exact, "M_exact": big_m_exact,
+    }
+    return metric, results, reports
 
 
-@main.command()
-@click.option("--schedule", "schedule_path", type=click.Path(exists=False), required=True,
-              help="Piecewise-constant schedule file (JSON with n, segments).")
+@_subcommand
+@schedule_option
 @p_option
 @click.option("--deltas", default="0.2,0.1,0.05", show_default=True,
               help="Comma-separated slice widths (at least three, spanning a factor of 4).")
 @out_option
 @format_option
-def scaling(schedule_path, p, deltas, out, fmt):
+def scaling(schedule, p, deltas, **_):
     """Fit the gate-count growth against the inverse slice width."""
-
-    def body():
-        schedule = load_schedule(schedule_path)
-        metric = _metric(schedule.n, p)
-        try:
-            widths = [float(part) for part in deltas.split(",") if part.strip()]
-        except ValueError:
-            raise ValidationError(f"--deltas must be comma-separated numbers, got {deltas!r}")
-        report = gate_count_scaling(schedule, metric, widths)
-        config = {
-            "command": "scaling", "schedule": schedule_path, "n": schedule.n, "p": metric.p,
-            "deltas": deltas, "out": out, "format": fmt,
-        }
-        results = {
-            "deltas": list(report.deltas),
-            "gate_counts": list(report.gate_counts),
-            "slope": report.slope,
-            "intercept": report.intercept,
-            "residual": report.residual,
-        }
-        slope_report = BoundReport(
-            "scaling-slope", EXPECTED_SLOPE - SLOPE_TOL, report.slope, EXPECTED_SLOPE + SLOPE_TOL
-        )
-        _finish("scaling", config, results, [slope_report], out, fmt)
-
-    _guarded(body)
+    loaded = load_schedule(schedule)
+    metric = _metric(loaded.n, p)
+    try:
+        widths = [float(part) for part in deltas.split(",") if part.strip()]
+    except ValueError:
+        raise ValidationError(f"--deltas must be comma-separated numbers, got {deltas!r}")
+    report = gate_count_scaling(loaded, metric, widths)
+    results = {
+        "deltas": list(report.deltas),
+        "gate_counts": list(report.gate_counts),
+        "slope": report.slope,
+        "intercept": report.intercept,
+        "residual": report.residual,
+    }
+    slope_report = BoundReport(
+        "scaling-slope", EXPECTED_SLOPE - SLOPE_TOL, report.slope, EXPECTED_SLOPE + SLOPE_TOL
+    )
+    return metric, results, [slope_report]
 
 
 if __name__ == "__main__":

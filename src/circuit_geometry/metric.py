@@ -140,13 +140,18 @@ def distortion_constants(config: MetricConfig) -> tuple[float, float]:
 
 
 def _evaluate(norm, points: np.ndarray) -> np.ndarray:
-    """Evaluate a norm callable on a (m, d) batch, with a scalar fallback."""
+    """Evaluate a norm callable on a (m, d) batch.
+
+    Falls back to one row at a time when the batched call raises
+    ``TypeError`` or ``ValueError`` or returns the wrong shape; any other
+    failure propagates.
+    """
     out = None
     try:
         candidate = np.asarray(norm(points), dtype=float)
         if candidate.shape == (points.shape[0],):
             out = candidate
-    except Exception:
+    except (TypeError, ValueError):
         out = None
     if out is None:
         out = np.array([float(norm(p)) for p in points])

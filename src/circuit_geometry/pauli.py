@@ -119,7 +119,11 @@ def partition_k(n: int) -> int:
 @lru_cache(maxsize=None)
 def basis_matrices(n: int) -> np.ndarray:
     """Read-only stack of the basis matrices, shape (4^n - 1, 2^n, 2^n)."""
-    stack = np.stack([s.matrix() for s in enumerate_basis(n)])
+    basis = enumerate_basis(n)
+    # filled in place: stacking a list of matrices would briefly hold two copies
+    stack = np.empty((len(basis), 2**n, 2**n), dtype=complex)
+    for index, word in enumerate(basis):
+        stack[index] = word.matrix()
     stack.flags.writeable = False
     return stack
 

@@ -26,10 +26,10 @@ COUNT_GUARD = 1e-12
 
 INTERPOLATIONS = ("constant", "linear")
 
-#: Largest synthesis :func:`simulate` attempts.  Both counts are known in
-#: closed form before anything is allocated.  The gate count is slices x
-#: substeps x nonzero weight-<=2 words x order, with an empty substep counted
-#: as one gate.  A gate holds about 16 bytes of sequence storage and costs
+#: Largest synthesis :func:`simulate` (and the scaling sweep) attempts.  Both
+#: counts are known in closed form before anything is allocated.  The gate
+#: count is slices x substeps x nonzero weight-<=2 words, with an empty
+#: substep counted as one gate.  A gate holds about 16 bytes of sequence storage and costs
 #: one dense product (about 60 us at n = 6 on a 2-core Xeon VM).  A slice
 #: mean holds 4^n - 1 coefficients (32 KB at n = 6), so the slice limit keeps
 #: the means within about 134 MB.  The largest synthesis the benchmark runs
@@ -379,50 +379,36 @@ class SimulationResult:
             raise ValidationError("endpoint error must be finite and nonnegative")
 
 
-def simulate(
-    schedule: Schedule,
-    config: MetricConfig,
-    delta: float | str = "auto",
-    order: int = 1,
-    auto_constant: float = 1.0,
-    optimizer_settings=None,
-) -> SimulationResult:
-    """Run the projection / slicing / synthesis pipeline on a schedule.
-
-    ``delta="auto"`` chooses ``auto_constant / (n^2 * d_hat)`` where
-    ``d_hat`` is the optimizer's distance upper bound for the schedule
-    endpoint, clipped to the duration.  The reported ``endpoint_error``
-    is the phase-aligned Frobenius distance between the gate product and
-    the exact (unprojected) endpoint, normalized by ``2^(n/2)`` so the
-    value is comparable across qubit counts.
-
-    Raises ``DomainError`` before synthesizing when the slice count exceeds
-    :data:`MAX_SLICES` or the closed-form gate count exceeds :data:`MAX_GATES`.
-    """
+def _synthesize(schedule: Schedule, config: MetricConfig, delta: float) -> GateSequence:
+    """Project, slice and synthesize ``schedule``, refusing an oversize synthesis first."""
     if schedule.n != config.n:
         raise DomainError(f"schedule qubit count {schedule.n} does not match config {config.n}")
-    target = schedule_endpoint(schedule)
-    if isinstance(delta, str):
-        if delta != "auto":
-            raise DomainError(f"delta must be a number or 'auto', got {delta!r}")
-        from .paths import OptimizerSettings, distance_upper
-
-        estimate = distance_upper(target, config, optimizer_settings or OptimizerSettings())
-        if estimate.upper > 0:
-            delta = min(auto_constant / (config.n**2 * estimate.upper), schedule.duration)
-        else:
-            delta = schedule.duration
     projected = project_schedule(schedule, config)
     slices = _slice_count(schedule.duration, delta)
     words = max(1, np.count_nonzero(np.any(projected.values != 0.0, axis=0)))
-    gates = slices * np.ceil(1.0 / delta - COUNT_GUARD) * words * order
+    gates = slices * np.ceil(1.0 / delta - COUNT_GUARD) * words
     if slices > MAX_SLICES or gates > MAX_GATES:
         raise DomainError(
             f"synthesis at delta {delta} needs {slices:.3g} slices and {gates:.3g} gates; "
             f"the limit is {MAX_SLICES} slices and {MAX_GATES} gates"
         )
-    means = slice_mean(projected, delta)
-    sequence = synthesize_gates(means, delta, config, order=order)
+    return synthesize_gates(slice_mean(projected, delta), delta, config)
+
+
+def simulate(schedule: Schedule, config: MetricConfig, delta: float) -> SimulationResult:
+    """Run the projection / slicing / synthesis pipeline on a schedule.
+
+    ``delta`` is the numeric slice width (``cgeo simulate --delta auto``
+    derives one from a distance estimate).  The reported
+    ``endpoint_error`` is the phase-aligned Frobenius distance between the
+    gate product and the exact (unprojected) endpoint, normalized by
+    ``2^(n/2)`` so the value is comparable across qubit counts.
+
+    Raises ``DomainError`` before synthesizing when the slice count exceeds
+    :data:`MAX_SLICES` or the closed-form gate count exceeds :data:`MAX_GATES`.
+    """
+    sequence = _synthesize(schedule, config, delta)
+    target = schedule_endpoint(schedule)
     endpoint = gate_product(sequence)
     error = phase_aligned_frobenius(endpoint.matrix, target.matrix) / 2 ** (config.n / 2)
     magnitudes = np.abs(sequence.angles())

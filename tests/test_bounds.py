@@ -30,6 +30,7 @@ from circuit_geometry import (
     identity,
     simulate,
 )
+from circuit_geometry import bounds, simulation
 from util import random_coeffs
 
 
@@ -120,10 +121,17 @@ def test_estimate_distortion_monotone_in_samples():
 
 def test_estimate_distortion_prefix_across_chunk_boundary():
     norm = PenaltyNorm(MetricConfig(3, 2.0))
-    inner = estimate_distortion(norm, 3, 8192, seed=5)
-    outer = estimate_distortion(norm, 3, 8192 + 64, seed=5)
+    inner = estimate_distortion(norm, 3, bounds.SAMPLE_CHUNK, seed=5)
+    outer = estimate_distortion(norm, 3, bounds.SAMPLE_CHUNK + 64, seed=5)
     assert outer[0] <= inner[0]
     assert outer[1] >= inner[1]
+
+
+def test_estimate_distortion_independent_of_chunk_size(monkeypatch):
+    norm = PenaltyNorm(MetricConfig(3, 2.0))
+    expected = estimate_distortion(norm, 3, 300, seed=5)
+    monkeypatch.setattr(bounds, "SAMPLE_CHUNK", 7)
+    assert estimate_distortion(norm, 3, 300, seed=5) == expected
 
 
 def test_estimate_distortion_deterministic():
@@ -254,6 +262,18 @@ def test_scaling_commuting_schedule_same_slope():
     report = gate_count_scaling(schedule, config, (0.2, 0.1, 0.05))
     assert report.gate_counts == (50, 200, 800)
     assert report.slope == pytest.approx(2.0, abs=1e-12)
+
+
+def test_scaling_forms_no_products_or_endpoints(monkeypatch):
+    config = MetricConfig(3, 8.0)
+    schedule = Schedule.constant(_coeffs(3, {"XII": 0.3, "IZZ": -0.4, "XXX": 0.5}), 1.0)
+    deltas = (0.2, 0.1, 0.05)
+    expected = tuple(simulate(schedule, config, d).gate_count for d in deltas)
+    calls = []
+    monkeypatch.setattr(simulation, "gate_product", lambda *args: calls.append("gate_product"))
+    monkeypatch.setattr(simulation, "schedule_endpoint", lambda *args: calls.append("schedule_endpoint"))
+    assert gate_count_scaling(schedule, config, deltas).gate_counts == expected
+    assert calls == []
 
 
 def test_scaling_report_is_plain_data():

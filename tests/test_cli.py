@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from circuit_geometry import cli
 from circuit_geometry.cli import main
-from util import subprocess_env
+from util import random_traceless_hermitian, subprocess_env
 
 
 @pytest.fixture
@@ -170,6 +170,17 @@ def test_simulate_writes_gates(runner, tmp_path):
     assert gates["delta"] == 0.25
 
 
+def test_simulate_auto_delta(runner, tmp_path):
+    schedule = _write(tmp_path, "s.json", {"n": 1, "segments": [{"tau": 1.0, "y": {"X": 0.6}}]})
+    out = str(tmp_path / "sim.json")
+    result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "auto",
+                                  "--segments", "2", "--p", "2", "--out", out])
+    assert result.exit_code == 0, result.output
+    results = _report(out)["results"]
+    assert 0 < results["delta"] <= 1.0
+    assert results["endpoint_error"] < 0.05
+
+
 def test_simulate_rejects_bad_delta(runner, tmp_path):
     schedule = _write(tmp_path, "s.json", SCHEDULE)
     result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "banana",
@@ -252,11 +263,25 @@ def test_guard_lets_interrupts_through():
     def interrupted():
         raise KeyboardInterrupt
 
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(SystemExit) as exit_info:
         cli._guarded(interrupted)
+    assert exit_info.value.code == 130
     with pytest.raises(SystemExit) as exit_info:
         cli._guarded(lambda: sys.exit(0))
     assert exit_info.value.code == 0
+
+
+def test_interrupted_run_exits_130(runner, tmp_path, monkeypatch):
+    # click alone would print "Aborted!" and exit 1, the bound-failure code
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "distance_upper", interrupted)
+    result = runner.invoke(main, ["distance", "--unitary", _x_rotation(tmp_path),
+                                  "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 130
+    assert "error: interrupted" in result.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 #: Values the fuzz writes over entries of a valid file: numbers (NaN,
@@ -398,12 +423,18 @@ def test_console_script_help():
 #: run, far below what an unguarded synthesis of these schedules allocates.
 MEMORY_CAP = 1 << 30
 
-CAPPED_CGEO = (
-    "import resource\n"
-    f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP}))\n"
-    "from circuit_geometry.cli import main\n"
-    "main(prog_name='cgeo')\n"
-)
+
+def _capped_cgeo(cap):
+    """Child-interpreter script that runs ``cgeo`` with its address space capped at ``cap`` bytes."""
+    return (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from circuit_geometry.cli import main\n"
+        "main(prog_name='cgeo')\n"
+    )
+
+
+CAPPED_CGEO = _capped_cgeo(MEMORY_CAP)
 
 
 @pytest.mark.parametrize("tau, delta", [(1e300, "0.1"), (1e6, "0.001")])
@@ -433,3 +464,24 @@ def test_huge_qubit_count_exits_2(tmp_path, command, option, payload):
     )
     assert proc.returncode == 2, proc.stderr
     assert "'n' must be an integer from 1 to 6" in proc.stderr
+
+
+#: Address-space cap for the n = 6 runs.  The dense basis stack is 268 MB
+#: and fits once; a second full copy of it, or a distortion batch of 8192
+#: rows (268 MB), does not.
+N6_MEMORY_CAP = 576 << 20
+
+
+@pytest.mark.parametrize("command", ["decompose", "distortion"])
+def test_n6_runs_fit_under_memory_cap(tmp_path, command):
+    if command == "decompose":
+        matrix = random_traceless_hermitian(np.random.default_rng(3), 6)
+        path = _write(tmp_path, "h6.json", {"n": 6, "re": matrix.real.tolist(), "im": matrix.imag.tolist()})
+        args = ["decompose", "--matrix", path]
+    else:
+        args = ["distortion", "--n", "6", "--samples", "8192"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _capped_cgeo(N6_MEMORY_CAP), *args, "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=120, env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -200,6 +200,18 @@ def test_finsler_scalar_only_norm_fallback():
     assert report.all_pass
 
 
+def test_finsler_propagates_batched_failure():
+    # only a batch the norm rejects (TypeError or ValueError) is retried row by row
+    def broken(values):
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise RuntimeError("broken norm")
+        return float(np.sqrt(np.sum(np.square(values))))
+
+    with pytest.raises(RuntimeError, match="broken norm"):
+        check_finsler_properties(broken, 1, [np.ones(3)])
+
+
 def test_finsler_rejects_zero_point():
     with pytest.raises(DomainError):
         check_finsler_properties(_euclidean, 1, [np.zeros(3)])

@@ -321,19 +321,6 @@ def test_simulate_projs_heavy_directions():
     assert result.endpoint_error > 1e-3
 
 
-def test_simulate_auto_delta():
-    cfg = MetricConfig(1, 2.0)
-    sched = Schedule.constant(_coeffs(1, {"X": 0.6}), 1.0)
-    from circuit_geometry import OptimizerSettings
-
-    result = simulate(sched, cfg, "auto",
-                      optimizer_settings=OptimizerSettings(segments=2, max_sweeps=10))
-    assert 0 < result.gate_sequence.delta <= 1.0
-    assert result.endpoint_error < 0.05
-    with pytest.raises(DomainError):
-        simulate(sched, cfg, "banana")
-
-
 def test_trotter_order_at_least_1p8():
     cfg = MetricConfig(2, 1.0)
     sched = Schedule.constant(XI_ZZ, 1.0)
