@@ -5,11 +5,12 @@ Six subcommands wire the file formats to the library: ``decompose``,
 Every run writes one report file -- JSON with the fixed top level
 ``{"version", "config", "results", "bound_reports"}`` or a CSV of the
 bound reports -- deterministically: the same flags and seed produce the
-same bytes, and the distance search draws no random numbers.  The
+same bytes, and the distance witness draws no random numbers.  The
 ``config`` block echoes the command name, every option, and the resolved
 qubit count ``n`` and penalty ``p``.  Exit codes: 0 all checks pass, 1 a
 bound check failed, 2 parse or validation error or any unexpected
-internal error, 3 infeasible optimization, 130 interrupted.
+internal error, 3 no feasible schedule (the target has no principal
+logarithm), 130 interrupted.
 
 ``simulate --delta auto`` is a policy of this front end, not of the
 library: the slice width is ``1 / (n^2 d_hat)`` clipped to the schedule
@@ -153,7 +154,7 @@ p_option = click.option(
 )
 segments_option = click.option(
     "--segments", type=click.IntRange(min=1), default=8, show_default=True,
-    help="Schedule segments used by the distance optimizer.",
+    help="Legs of the distance witness (the one-parameter subgroup, split evenly).",
 )
 unitary_option = click.option(
     "--unitary", type=click.Path(exists=False), required=True,
@@ -184,7 +185,7 @@ def _bracket(unitary: str, p: float | None, segments: int):
             "endpoint_error": estimate.stats.endpoint_error,
         },
     }
-    # the lower estimate must not exceed the upper beyond the optimizer's
+    # the lower estimate must not exceed the upper beyond the witness's
     # endpoint feasibility tolerance
     report = BoundReport("distance-bracket", 0.0, estimate.lower, estimate.upper + ENDPOINT_TOL)
     return metric, estimate, results, [report]

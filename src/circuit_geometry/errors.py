@@ -41,15 +41,11 @@ class EvaluationError(RuntimeError):
 
 
 class InfeasibleError(RuntimeError):
-    """No schedule reached the endpoint tolerance within the search budget."""
+    """No schedule reaching the target within the endpoint tolerance was found.
 
-    def __init__(self, endpoint_error, tolerance):
-        self.endpoint_error = endpoint_error
-        self.tolerance = tolerance
-        super().__init__(
-            f"best endpoint error {endpoint_error:.3e} exceeds tolerance "
-            f"{tolerance:.1e}; no feasible schedule found"
-        )
+    The message names the cause: the target has no principal logarithm, or
+    the witness endpoint misses it.
+    """
 
 
 class CoefficientBoundError(ValidationError):

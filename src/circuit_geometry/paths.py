@@ -3,7 +3,9 @@
 A path is a piecewise-constant :class:`~circuit_geometry.simulation.Schedule`;
 its length is the sum of penalty-norm segment lengths, and the distance
 from the identity to a target is bracketed by a chart lower bound and the
-length of an explicitly feasible schedule found by derivative-free search.
+length of the one-parameter-subgroup witness ``exp(-i t log U)``, which
+reaches the target by construction (Nielsen-Dowling-Gu-Doherty,
+quant-ph/0603161).
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Unitary, eigen_exp, identity, log_coords, phase_aligned_frobenius
+from .charts import Unitary, identity, log_coords, phase_aligned_frobenius
 from .errors import BranchCutError, DomainError, InfeasibleError, ValidationError
 from .metric import MetricConfig, _weighted_norm, distortion_constants, penalty_weights
-from .pauli import basis_matrices
-from .simulation import Schedule
+from .simulation import Schedule, schedule_endpoint
 
 #: Phase-aligned Frobenius distance at which a schedule counts as reaching
 #: its target; also the slack allowed between the lower and upper estimate
@@ -26,23 +27,6 @@ ENDPOINT_TOL = 1e-6
 
 #: An endpoint already this close to the target is treated as reached.
 IDENTITY_SHORTCUT = 1e-12
-
-_ACCEPT_MARGIN = 1e-12
-
-#: Coordinate-search step: initial size, and the size at which a feasible
-#: run stops halving it.
-INITIAL_STEP = 0.25
-MIN_STEP = 1e-4
-
-#: Bounds on each segment duration during the search.
-TAU_MIN = 1e-4
-TAU_MAX = 10.0
-
-#: Endpoint-penalty weight: initial value, growth factor after a sweep that
-#: ends infeasible, and the cap past which a run stops when it stalls.
-PENALTY_INIT = 10.0
-PENALTY_GROWTH = 10.0
-PENALTY_CAP = 1e12
 
 
 def path_length(path: Schedule, config: MetricConfig) -> float:
@@ -74,15 +58,15 @@ def distance_lower(target: Unitary, config: MetricConfig) -> float:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Budget for the upper-bound schedule search.
+    """Shape of the upper-bound witness.
 
-    ``segments`` is the number of constant segments in the witness
-    schedule and ``max_sweeps`` caps the sweeps of its one deterministic
-    run; the search draws no random numbers.
+    ``segments`` is the number of equal legs ``(log U / segments, tau = 1)``
+    the one-parameter-subgroup witness is split into.  The split leaves the
+    length unchanged up to roundoff; it sets the legs that ``verify``
+    checks one by one.
     """
 
     segments: int = 8
-    max_sweeps: int = 40
 
     def __post_init__(self):
         if self.segments < 1:
@@ -91,7 +75,8 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class OptimizerStats:
-    """Search accounting: runs executed (0 or 1), trial evaluations, winning endpoint error."""
+    """Witness accounting: runs (0 for a target at the identity, else 1),
+    endpoint evaluations (likewise), and the witness endpoint error."""
 
     runs: int
     evaluations: int
@@ -119,162 +104,22 @@ class DistanceEstimate:
             )
 
 
-class _Candidate:
-    __slots__ = ("length", "ys", "taus", "error")
-
-    def __init__(self, length, ys, taus, error):
-        self.length = length
-        self.ys = ys.copy()
-        self.taus = taus.copy()
-        self.error = error
-
-
-def _search(target: np.ndarray, config: MetricConfig, settings: OptimizerSettings, ys, taus):
-    """Greedy first-improvement coordinate descent from the start ``ys``, ``taus``.
-
-    Minimizes ``length + w * err^2`` where ``err`` is the phase-aligned
-    Frobenius endpoint mismatch; ``w`` grows by ``PENALTY_GROWTH`` after
-    any sweep that ends infeasible, so the endpoint constraint hardens
-    over time, and the step is halved only after a sweep that ends
-    feasible without an accepted move.  Runs at most
-    ``settings.max_sweeps`` sweeps and updates ``ys`` and ``taus`` in
-    place.  Returns (best feasible candidate or None, best endpoint error
-    seen, trial evaluations).  :func:`distance_upper` calls it once, from
-    the one-parameter-subgroup start, which is feasible from the outset.
-
-    Within segment ``j`` the trials run in the order ``(c, +step)``,
-    ``(c, -step)`` for each coordinate ``c``, then ``tau +/- step`` (a tau
-    move clipped to a no-op is skipped).  The first trial that lowers the
-    objective by more than ``_ACCEPT_MARGIN`` is accepted, and the search
-    goes on at ``c + 1``.  All remaining trials of the segment are
-    evaluated as one stack (one contraction, one stacked ``eigh``, one
-    batched endpoint product) and the first hit in that order wins; the
-    trials after it are discarded and not counted.  Each trial is computed
-    with the operations of a one-at-a-time loop, so the trajectory and the
-    evaluation count do not depend on the batching.
-    """
-    n_segments, dim_coords = ys.shape
-    flat_basis = basis_matrices(config.n).reshape(dim_coords, -1)
-    weights = penalty_weights(config)
-    dim = target.shape[0]
-
-    def eigenpairs(rows):
-        # a row-vector-times-matrix product per row rounds exactly as
-        # np.tensordot(row, basis) does; a rank-one update h + step * sigma_c
-        # of the current Hamiltonian would not
-        hams = np.matmul(rows[:, None, :], flat_basis)[:, 0].reshape(-1, dim, dim)
-        return np.linalg.eigh(hams)
-
-    evals, vecs = eigenpairs(ys)
-    units = eigen_exp(evals, vecs, taus[:, None])
-
-    def prefix_suffix():
-        prefix = [np.eye(dim, dtype=complex)]
-        for u in units:
-            prefix.append(u @ prefix[-1])
-        suffix = [np.eye(dim, dtype=complex)] * (n_segments + 1)
-        acc = np.eye(dim, dtype=complex)
-        for j in range(n_segments - 1, -1, -1):
-            suffix[j] = acc
-            acc = acc @ units[j]
-        return prefix, suffix
-
-    prefix, suffix = prefix_suffix()
-    lengths = np.array([_weighted_norm(weights, ys[j]) * taus[j] for j in range(n_segments)])
-    error = phase_aligned_frobenius(prefix[-1], target)
-    total_length = float(np.sum(lengths))
-
-    best = None
-    best_error = error
-
-    def record():
-        nonlocal best
-        if error <= ENDPOINT_TOL:
-            if best is None or total_length < best.length:
-                best = _Candidate(total_length, ys, taus, error)
-
-    record()
-
-    weight = PENALTY_INIT
-    step = INITIAL_STEP
-    evaluations = 0
-    objective = total_length + weight * error * error
-    # trial k of a full segment stack moves coordinate k // 2 by +step, -step
-    all_coords = np.repeat(np.arange(dim_coords), 2)
-    all_signs = np.tile([1.0, -1.0], dim_coords)
-
-    for _ in range(settings.max_sweeps):
-        improved = False
-        deltas = all_signs * step
-        for j in range(n_segments):
-            # taus[j] changes only when a tau trial is accepted, which ends the segment
-            tau_trials = [
-                tau for tau in np.clip(taus[j] + np.array([step, -step]), TAU_MIN, TAU_MAX) if tau != taus[j]
-            ]
-            start = 0
-            while start <= dim_coords:
-                coords = all_coords[2 * start:]
-                n_moves = len(coords)
-                rows = np.repeat(ys[j][None, :], n_moves + len(tau_trials), axis=0)
-                rows[np.arange(n_moves), coords] += deltas[2 * start:]
-                trial_taus = np.array([taus[j]] * n_moves + tau_trials)
-                move_evals, move_vecs = eigenpairs(rows[:n_moves])
-                trial_evals = np.concatenate([move_evals, np.repeat(evals[j][None], len(tau_trials), 0)])
-                trial_vecs = np.concatenate([move_vecs, np.repeat(vecs[j][None], len(tau_trials), 0)])
-                trial_units = eigen_exp(trial_evals, trial_vecs, trial_taus[:, None])
-                trial_errors = phase_aligned_frobenius(suffix[j] @ (trial_units @ prefix[j]), target)
-                trial_seg_lengths = _weighted_norm(weights, rows) * trial_taus
-                trial_lengths = total_length - lengths[j] + trial_seg_lengths
-                trial_objectives = trial_lengths + weight * trial_errors * trial_errors
-                hits = np.flatnonzero(trial_objectives < objective - _ACCEPT_MARGIN)
-                if len(hits) == 0:
-                    evaluations += len(rows)
-                    break
-                k = int(hits[0])
-                evaluations += k + 1
-                ys[j] = rows[k]
-                taus[j] = trial_taus[k]
-                evals[j], vecs[j] = trial_evals[k], trial_vecs[k]
-                units[j] = trial_units[k]
-                lengths[j] = trial_seg_lengths[k]
-                total_length = trial_lengths[k]
-                error = float(trial_errors[k])
-                objective = trial_objectives[k]
-                prefix, suffix = prefix_suffix()
-                best_error = min(best_error, error)
-                record()
-                improved = True
-                start = start + k // 2 + 1 if k < n_moves else dim_coords + 1
-        if error > ENDPOINT_TOL:
-            if weight < PENALTY_CAP:
-                weight *= PENALTY_GROWTH
-            elif not improved:
-                break
-            objective = total_length + weight * error * error
-        elif not improved:
-            step *= 0.5
-            if step < MIN_STEP:
-                break
-    return best, best_error, evaluations
-
-
 def distance_upper(
     target: Unitary, config: MetricConfig, settings: OptimizerSettings | None = None
 ) -> DistanceEstimate:
     """Length of a feasible schedule reaching ``target``, plus the chart lower bound.
 
-    Runs the coordinate search once, from the one-parameter-subgroup start
-    ``y_j = log_coords(target) / segments``, ``tau_j = 1``, which reaches the
-    target by construction; the search is deterministic.  The returned
-    upper value is the exact length of the best witness schedule, so it
-    bounds the true distance from above.  Endpoints compare modulo global
-    phase; a target within ``IDENTITY_SHORTCUT`` of the identity gets the
-    empty witness and no run.
+    The witness is the one-parameter subgroup through ``target``, split into
+    ``settings.segments`` legs ``y_j = log_coords(target) / segments``,
+    ``tau_j = 1``.  The returned upper value is the exact length of that
+    witness, ``F_p(log U)`` up to roundoff, so it bounds the true distance
+    from above.  Endpoints compare modulo global phase; a target within
+    ``IDENTITY_SHORTCUT`` of the identity gets the empty witness.
 
-    Raises ``InfeasibleError`` without searching when the target has no
-    principal logarithm (``log_coords`` raises: branch cut or global-phase
-    obstruction), and when the run ends without reaching the endpoint
-    tolerance.
+    Raises ``InfeasibleError`` when the target has no principal logarithm
+    (``log_coords`` raises: branch cut or global-phase obstruction), and
+    when the witness endpoint misses the target by more than
+    ``ENDPOINT_TOL``.
     """
     if settings is None:
         settings = OptimizerSettings()
@@ -284,8 +129,8 @@ def distance_upper(
 
     try:
         subgroup = log_coords(target, identity(config.n))
-    except (BranchCutError, ValidationError):
-        subgroup = None
+    except (BranchCutError, ValidationError) as exc:
+        subgroup, obstruction = None, exc
     m_lower, _ = distortion_constants(config)
     lower = 0.0 if subgroup is None else m_lower * subgroup.norm
 
@@ -294,14 +139,16 @@ def distance_upper(
         stats = OptimizerStats(runs=0, evaluations=0, endpoint_error=empty_error)
         return DistanceEstimate(lower, 0.0, Schedule.from_segments(config.n, [], []), stats)
     if subgroup is None:
-        raise InfeasibleError(empty_error, ENDPOINT_TOL)
+        raise InfeasibleError(f"no feasible schedule found: {obstruction}")
 
-    ys = np.repeat((subgroup.values / n_segments)[None, :], n_segments, axis=0)
-    best, run_error, evaluations = _search(target.matrix, config, settings, ys, np.ones(n_segments))
-    if best is None:
-        raise InfeasibleError(run_error, ENDPOINT_TOL)
-
-    witness = Schedule.from_segments(config.n, best.ys, best.taus)
-    upper = path_length(witness, config)
-    stats = OptimizerStats(runs=1, evaluations=evaluations, endpoint_error=best.error)
-    return DistanceEstimate(lower, upper, witness, stats)
+    witness = Schedule.from_segments(
+        config.n, [subgroup.values / n_segments] * n_segments, [1.0] * n_segments
+    )
+    error = phase_aligned_frobenius(schedule_endpoint(witness).matrix, target.matrix)
+    if not error <= ENDPOINT_TOL:
+        raise InfeasibleError(
+            f"no feasible schedule found: the subgroup witness misses the target by "
+            f"{error:.3e}, beyond the tolerance {ENDPOINT_TOL:.1e}"
+        )
+    stats = OptimizerStats(runs=1, evaluations=1, endpoint_error=error)
+    return DistanceEstimate(lower, path_length(witness, config), witness, stats)

@@ -181,6 +181,23 @@ def test_simulate_auto_delta(runner, tmp_path):
     assert results["endpoint_error"] < 0.05
 
 
+def test_simulate_auto_delta_refuses_oversize_synthesis_quickly(runner, tmp_path):
+    # the auto width needs only the closed-form distance witness, so the
+    # size refusal (622 slices, 1.93e6 gates at delta 0.003216) comes at once
+    words = ["XIII", "IXII", "IIXI", "IIIX", "ZZII", "IZZI", "IIZZ", "XXII", "IXXI", "IIXX"]
+    schedule = _write(tmp_path, "s4.json", {"n": 4, "segments": [
+        {"tau": 1.0, "y": {word: 0.8 for word in words}},
+        {"tau": 1.0, "y": {word: 0.8 * (-1) ** index for index, word in enumerate(words)}},
+    ]})
+    started = time.perf_counter()
+    result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "auto",
+                                  "--out", str(tmp_path / "r.json")])
+    elapsed = time.perf_counter() - started
+    assert result.exit_code == 2, result.output
+    assert "needs 622 slices and 1.93e+06 gates" in result.stderr
+    assert elapsed < 3.0
+
+
 def test_simulate_rejects_bad_delta(runner, tmp_path):
     schedule = _write(tmp_path, "s.json", SCHEDULE)
     result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "banana",
@@ -232,7 +249,8 @@ def test_branch_cut_target_exits_3_without_searching(runner, tmp_path):
     result = runner.invoke(main, ["distance", "--unitary", target, "--out", str(tmp_path / "r.json")])
     elapsed = time.perf_counter() - started
     assert result.exit_code == 3
-    assert "no feasible schedule" in result.stderr
+    assert "no feasible schedule found" in result.stderr
+    assert "principal logarithm" in result.stderr
     assert elapsed < 0.25
 
 

@@ -34,21 +34,7 @@ from circuit_geometry import (
     unitary_exp,
     weight_vector,
 )
-from circuit_geometry import paths
-from circuit_geometry.metric import _weighted_norm, penalty_weights
-from circuit_geometry.pauli import basis_matrices
-from circuit_geometry.paths import (
-    _ACCEPT_MARGIN,
-    ENDPOINT_TOL,
-    INITIAL_STEP,
-    MIN_STEP,
-    PENALTY_CAP,
-    PENALTY_GROWTH,
-    PENALTY_INIT,
-    TAU_MAX,
-    TAU_MIN,
-    _Candidate,
-)
+from circuit_geometry.paths import ENDPOINT_TOL
 from util import random_coeffs
 
 
@@ -186,7 +172,7 @@ def test_distance_upper_identity():
     assert estimate.witness.segments == ()
 
 
-SMALL = OptimizerSettings(segments=2, max_sweeps=15)
+SMALL = OptimizerSettings(segments=2)
 
 
 def test_distance_upper_pinches_subgroup():
@@ -233,7 +219,7 @@ def test_distance_upper_penalty_prices_hard_directions():
     cfg = MetricConfig(3, 4.0)
     y = _axis(3, "XXX", 0.4)
     u = exp_coords(y, identity(3))
-    estimate = distance_upper(u, cfg, OptimizerSettings(segments=1, max_sweeps=6))
+    estimate = distance_upper(u, cfg, OptimizerSettings(segments=1))
     assert estimate.lower == pytest.approx(0.4, abs=1e-9)
     assert estimate.upper <= 4.0 * 0.4 + 1e-6
     assert estimate.upper >= estimate.lower - 1e-9
@@ -251,223 +237,31 @@ def test_distance_bracket_n3_with_penalty(seed):
     cfg = MetricConfig(3, 8.0)
     estimate = distance_upper(target, cfg, OptimizerSettings(segments=2))
     assert estimate.lower <= estimate.upper + ENDPOINT_TOL
-    # the one-parameter-subgroup start is always a recorded candidate
-    assert estimate.upper <= minkowski_norm(log_coords(target, identity(3)), cfg) + 1e-9
+    # the witness is the one-parameter subgroup, so its length is F_p(log U)
+    assert estimate.upper == pytest.approx(minkowski_norm(log_coords(target, identity(3)), cfg), rel=1e-12)
     reached = schedule_endpoint(estimate.witness)
     assert phase_aligned_frobenius(reached.matrix, target.matrix) <= ENDPOINT_TOL
     assert estimate.upper == path_length(estimate.witness, cfg)
 
 
-# ---------------------------------------------------------------------------
-# Oracle for the batched search kernel: the scalar loop it replaced, kept
-# verbatim.  The batched kernel must follow the same trajectory bit for bit.
-
-
-def _segment_unitary(evals, vecs, tau):
-    return (vecs * np.exp(-1j * tau * evals)) @ vecs.conj().T
-
-
-def _reference_search(target, config, settings, ys, taus):
-    """The one-trial-at-a-time coordinate descent that ``paths._search`` batches.
-
-    Minimizes ``length + w * err^2`` where ``err`` is the phase-aligned
-    Frobenius endpoint mismatch; ``w`` grows by ``PENALTY_GROWTH`` after
-    any sweep that ends infeasible, so the endpoint constraint hardens
-    over time.  Returns (best feasible candidate or None, best endpoint
-    error seen, trial evaluations).
-    """
-    n_segments, dim_coords = ys.shape
-    basis = basis_matrices(config.n)
-    weights = penalty_weights(config)
-    dim = target.shape[0]
-
-    eigs = []
-    for j in range(n_segments):
-        h = np.tensordot(ys[j], basis, axes=(0, 0))
-        eigs.append(np.linalg.eigh(h))
-    units = [_segment_unitary(ev, vc, taus[j]) for j, (ev, vc) in enumerate(eigs)]
-
-    def prefix_suffix():
-        prefix = [np.eye(dim, dtype=complex)]
-        for u in units:
-            prefix.append(u @ prefix[-1])
-        suffix = [np.eye(dim, dtype=complex)] * (n_segments + 1)
-        acc = np.eye(dim, dtype=complex)
-        for j in range(n_segments - 1, -1, -1):
-            suffix[j] = acc
-            acc = acc @ units[j]
-        return prefix, suffix
-
-    prefix, suffix = prefix_suffix()
-    lengths = np.array([_weighted_norm(weights, ys[j]) * taus[j] for j in range(n_segments)])
-    error = phase_aligned_frobenius(prefix[-1], target)
-    total_length = float(np.sum(lengths))
-
-    best = None
-    best_error = error
-
-    def record():
-        nonlocal best
-        if error <= ENDPOINT_TOL:
-            if best is None or total_length < best.length:
-                best = _Candidate(total_length, ys, taus, error)
-
-    record()
-
-    weight = PENALTY_INIT
-    step = INITIAL_STEP
-    evaluations = 0
-    objective = total_length + weight * error * error
-
-    for _ in range(settings.max_sweeps):
-        improved = False
-        for j in range(n_segments):
-            for coord in range(dim_coords + 1):
-                for direction in (1.0, -1.0):
-                    if coord < dim_coords:
-                        trial_row = ys[j].copy()
-                        trial_row[coord] += direction * step
-                        h = np.tensordot(trial_row, basis, axes=(0, 0))
-                        trial_eig = np.linalg.eigh(h)
-                        trial_tau = taus[j]
-                    else:
-                        trial_tau = float(np.clip(taus[j] + direction * step, TAU_MIN, TAU_MAX))
-                        if trial_tau == taus[j]:
-                            continue
-                        trial_row = ys[j]
-                        trial_eig = eigs[j]
-                    trial_unit = _segment_unitary(trial_eig[0], trial_eig[1], trial_tau)
-                    endpoint = suffix[j] @ (trial_unit @ prefix[j])
-                    trial_error = phase_aligned_frobenius(endpoint, target)
-                    trial_seg_length = _weighted_norm(weights, trial_row) * trial_tau
-                    trial_length = total_length - lengths[j] + trial_seg_length
-                    trial_objective = trial_length + weight * trial_error * trial_error
-                    evaluations += 1
-                    if trial_objective < objective - _ACCEPT_MARGIN:
-                        if coord < dim_coords:
-                            ys[j] = trial_row
-                        taus[j] = trial_tau
-                        eigs[j] = trial_eig
-                        units[j] = trial_unit
-                        lengths[j] = trial_seg_length
-                        total_length = trial_length
-                        error = trial_error
-                        objective = trial_objective
-                        prefix, suffix = prefix_suffix()
-                        best_error = min(best_error, error)
-                        record()
-                        improved = True
-                        break
-        if error > ENDPOINT_TOL:
-            if weight < PENALTY_CAP:
-                weight *= PENALTY_GROWTH
-            elif not improved:
-                break
-            objective = total_length + weight * error * error
-        elif not improved:
-            step *= 0.5
-            if step < MIN_STEP:
-                break
-    return best, best_error, evaluations
-
-
-
-ORACLE_CASES = [(n, segments) for n in (1, 2, 3) for segments in (1, 2, 3)]
-
-
-def _run_kernel(monkeypatch, kernel, target, cfg, settings):
-    with monkeypatch.context() as patch:
-        patch.setattr(paths, "_search", kernel)
-        try:
-            return distance_upper(target, cfg, settings)
-        except InfeasibleError as exc:
-            return str(exc)
-
-
-def _assert_same_estimate(want, got):
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert got.stats.evaluations == want.stats.evaluations
-    assert got.stats.runs == want.stats.runs
-    assert got.stats.endpoint_error == want.stats.endpoint_error
-    assert got.upper == want.upper
-    assert got.lower == want.lower
-    assert np.array_equal(got.witness.values, want.witness.values)
-    assert np.array_equal(got.witness.times, want.witness.times)
-    assert got.witness.duration == want.witness.duration
-
-
-@pytest.mark.parametrize("n,segments", ORACLE_CASES)
-def test_search_kernel_matches_scalar_oracle(monkeypatch, n, segments):
-    rng = np.random.default_rng(100 + 10 * n + segments)
-    target = exp_coords(random_coeffs(rng, n, scale=0.7), identity(n))
-    cfg = MetricConfig(n, 2.0**n)
-    sweeps = {1: 40, 2: 12, 3: 4}[n]
-    settings = OptimizerSettings(segments=segments, max_sweeps=sweeps)
-    want = _run_kernel(monkeypatch, _reference_search, target, cfg, settings)
-    got = _run_kernel(monkeypatch, paths._search, target, cfg, settings)
-    assert not isinstance(want, str)
-    assert want.stats.evaluations > 0
-    _assert_same_estimate(want, got)
-
-    # one run from a random start, which accepts many moves while infeasible:
-    # the best error seen, the count, the final state and any candidate agree
-    start = rng.normal(0.0, 0.7 / segments, (segments, 4**n - 1)), rng.uniform(0.5, 1.5, segments)
-    want_ys, want_taus = start[0].copy(), start[1].copy()
-    got_ys, got_taus = start[0].copy(), start[1].copy()
-    want = _reference_search(target.matrix, cfg, settings, want_ys, want_taus)
-    got = paths._search(target.matrix, cfg, settings, got_ys, got_taus)
-    assert got[1:] == want[1:]
-    assert np.array_equal(got_ys, want_ys) and np.array_equal(got_taus, want_taus)
-    assert (got[0] is None) == (want[0] is None)
-    if want[0] is not None:
-        assert (got[0].length, got[0].error) == (want[0].length, want[0].error)
-        assert np.array_equal(got[0].ys, want[0].ys) and np.array_equal(got[0].taus, want[0].taus)
-
-
-def test_search_kernel_matches_scalar_oracle_infeasible():
-    # distance_upper never searches toward a target on the branch cut, so
-    # both kernels run directly from one seeded random start that stays
-    # infeasible: the best error, the count and the final state agree
-    phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
-    target = Unitary(2, np.diag(np.exp(-1j * phases)))
-    cfg = MetricConfig(2, 2.0)
-    settings = OptimizerSettings(segments=2, max_sweeps=3)
-    start = np.random.default_rng(434).normal(0.0, 0.5, (2, 15)), np.ones(2)
-    want_ys, want_taus = start[0].copy(), start[1].copy()
-    got_ys, got_taus = start[0].copy(), start[1].copy()
-    want = _reference_search(target.matrix, cfg, settings, want_ys, want_taus)
-    got = paths._search(target.matrix, cfg, settings, got_ys, got_taus)
-    assert want[0] is None and want[1] > ENDPOINT_TOL
-    assert not np.array_equal(want_ys, start[0])  # the run accepted moves
-    assert got[1:] == want[1:]
-    assert np.array_equal(got_ys, want_ys) and np.array_equal(got_taus, want_taus)
-    assert got[0] is None
-
-
-@pytest.mark.parametrize("n, segments, sweeps", [(2, 3, 12), (3, 2, 4)])
-def test_distance_upper_runs_one_search_from_subgroup_start(n, segments, sweeps):
+@pytest.mark.parametrize("n, segments", [(2, 3), (3, 2)])
+def test_distance_upper_witness_is_the_subgroup_split(n, segments):
     rng = np.random.default_rng(500 + n)
     target = exp_coords(random_coeffs(rng, n, scale=0.7), identity(n))
     cfg = MetricConfig(n, 2.0**n)
-    settings = OptimizerSettings(segments=segments, max_sweeps=sweeps)
-    estimate = distance_upper(target, cfg, settings)
-    ys = np.repeat((log_coords(target, identity(n)).values / segments)[None, :], segments, axis=0)
-    best, _, evaluations = paths._search(target.matrix, cfg, settings, ys, np.ones(segments))
-    assert estimate.stats.runs == 1
-    assert estimate.stats.evaluations == evaluations > 0
-    assert estimate.stats.endpoint_error == best.error
-    assert np.array_equal(estimate.witness.values, best.ys)
+    estimate = distance_upper(target, cfg, OptimizerSettings(segments=segments))
+    leg = log_coords(target, identity(n)).values / segments
+    assert np.array_equal(estimate.witness.values, np.repeat(leg[None, :], segments, axis=0))
+    assert np.array_equal(estimate.witness.times, np.arange(segments, dtype=float))
+    assert estimate.witness.duration == float(segments)
+    reached = schedule_endpoint(estimate.witness)
+    assert estimate.stats.endpoint_error == phase_aligned_frobenius(reached.matrix, target.matrix)
+    assert (estimate.stats.runs, estimate.stats.evaluations) == (1, 1)
 
 
-def test_distance_upper_branch_cut_raises_without_search(monkeypatch):
-    def no_search(*args):
-        raise AssertionError("a branch-cut target must not be searched")
-
-    monkeypatch.setattr(paths, "_search", no_search)
+def test_distance_upper_branch_cut_raises_without_search():
     phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
     u = Unitary(2, np.diag(np.exp(-1j * phases)))
-    with pytest.raises(InfeasibleError, match="no feasible schedule"):
+    with pytest.raises(InfeasibleError, match="no feasible schedule found: .*principal logarithm"):
         distance_upper(u, MetricConfig(2, 2.0))
     assert distance_upper(identity(2), MetricConfig(2, 2.0)).stats.runs == 0
