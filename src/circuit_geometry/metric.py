@@ -38,27 +38,21 @@ def default_penalty(n: int) -> float:
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Penalty-norm parameters for a fixed qubit count.
-
-    ``k`` is the size of the unpenalized coordinate block; it is derived
-    from ``n`` and may only be passed to assert the expected value.
-    """
+    """Penalty-norm parameters for a fixed qubit count."""
 
     n: int
     p: float
-    k: int = -1
 
     def __post_init__(self):
         if not np.isfinite(self.p) or self.p < 1.0:
             raise ValidationError(f"penalty factor must be a finite number >= 1, got {self.p}")
-        expected = partition_k(self.n)
-        if self.k == -1:
-            object.__setattr__(self, "k", expected)
-        elif self.k != expected:
-            raise ValidationError(
-                f"unpenalized block size for n={self.n} is {expected}, got {self.k}"
-            )
+        partition_k(self.n)  # validates n
         object.__setattr__(self, "p", float(self.p))
+
+    @property
+    def k(self) -> int:
+        """Size of the unpenalized (weight-at-most-2) coordinate block."""
+        return partition_k(self.n)
 
 
 def penalty_weights(config: MetricConfig) -> np.ndarray:

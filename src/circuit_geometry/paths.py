@@ -18,7 +18,7 @@ import numpy as np
 from .charts import Unitary, identity, log_coords, phase_aligned_frobenius
 from .errors import BranchCutError, DomainError, InfeasibleError, ValidationError
 from .metric import MetricConfig, _weighted_norm, distortion_constants, penalty_weights
-from .simulation import Schedule, schedule_endpoint
+from .simulation import MAX_WITNESS_COEFFICIENTS, Schedule, schedule_endpoint
 
 #: Phase-aligned Frobenius distance at which a schedule counts as reaching
 #: its target; also the slack allowed between the lower and upper estimate
@@ -30,12 +30,10 @@ IDENTITY_SHORTCUT = 1e-12
 
 
 def path_length(path: Schedule, config: MetricConfig) -> float:
-    """Penalty-norm length of a piecewise-constant schedule: ``sum_j F_p(y_j) * tau_j``.
+    """Penalty-norm length of a schedule: ``sum_j F_p(y_j) * tau_j``.
 
     Summed with :func:`math.fsum` so the value depends only on the multiset
-    of segment terms, not on how the path was assembled.  A linearly
-    interpolated schedule raises ``DomainError``: its integral of ``F_p``
-    has no closed form.
+    of segment terms, not on how the path was assembled.
     """
     if path.n != config.n:
         raise DomainError(f"path qubit count {path.n} does not match config {config.n}")
@@ -116,16 +114,20 @@ def distance_upper(
     from above.  Endpoints compare modulo global phase; a target within
     ``IDENTITY_SHORTCUT`` of the identity gets the empty witness.
 
-    Raises ``InfeasibleError`` when the target has no principal logarithm
-    (``log_coords`` raises: branch cut or global-phase obstruction), and
-    when the witness endpoint misses the target by more than
-    ``ENDPOINT_TOL``.
+    Raises ``DomainError``, before building it, for a witness above
+    :data:`MAX_WITNESS_COEFFICIENTS` coefficients, and ``InfeasibleError``
+    when the target has no principal logarithm (branch cut or global-phase
+    obstruction) or the witness endpoint misses it by more than ``ENDPOINT_TOL``.
     """
     if settings is None:
         settings = OptimizerSettings()
     if target.n != config.n:
         raise DomainError(f"target qubit count {target.n} does not match config {config.n}")
     n_segments = settings.segments
+    coefficients = n_segments * (4**config.n - 1)
+    if coefficients > MAX_WITNESS_COEFFICIENTS:
+        raise DomainError(f"a witness of {n_segments} segments at n = {config.n} holds {coefficients} "
+                          f"coefficients; the limit is {MAX_WITNESS_COEFFICIENTS} coefficients")
 
     try:
         subgroup = log_coords(target, identity(config.n))

@@ -3,8 +3,10 @@
 The pipeline has three steps: project away every weight-three-or-higher
 coefficient, average the projected signal over slices of width ``delta``,
 and expand each slice mean into a first-order product of single-word
-rotations.  Each slice becomes ``ceil(1/delta)`` substeps and each substep
-emits one gate ``exp(-i y_i sigma_i delta^2)`` per nonzero coefficient, so
+rotations.  A schedule is piecewise-constant; a smooth or adiabatic control
+is sampled into constant segments first.  Each slice becomes
+``m = ceil(1/delta)`` substeps of ``delta / m`` time each, and each substep
+emits one gate ``exp(-i y_i sigma_i delta / m)`` per nonzero coefficient, so
 with coefficients bounded by one, every gate is a rotation by at most
 ``delta^2`` and the per-slice product error is third order in ``delta``.
 """
@@ -24,8 +26,6 @@ from .pauli import CoeffVector, PauliString, _check_qubit_count, enumerate_basis
 #: that is an exact multiple of delta must not gain a spurious extra slice.
 COUNT_GUARD = 1e-12
 
-INTERPOLATIONS = ("constant", "linear")
-
 #: Largest synthesis :func:`simulate` (and the scaling sweep) attempts.  Both
 #: counts are known in closed form before anything is allocated.  The gate
 #: count is slices x substeps x nonzero weight-<=2 words, with an empty
@@ -37,22 +37,27 @@ INTERPOLATIONS = ("constant", "linear")
 MAX_GATES = 1_000_000
 MAX_SLICES = 4096
 
+#: Largest distance witness, in coefficients (legs x (4^n - 1)), checked before
+#: it is built.  At the limit (16,644 legs at n = 3, 256 at n = 6) a ``cgeo
+#: distance`` report is about 45 MB and the run peaks at 366 MB (n = 3) and
+#: 606 MB (n = 6, with the 268 MB dense basis stack), on a 2-core Xeon VM.
+MAX_WITNESS_COEFFICIENTS = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Sampled control signal ``y(t)`` on ``[0, duration]``.
+    """Piecewise-constant control signal ``y(t)`` on ``[0, duration]``.
 
-    ``times`` are strictly increasing sample times starting at 0, and
-    ``values`` holds one coefficient row per sample.  Between samples the
-    signal either holds the earlier row (``constant``) or interpolates
-    linearly (``linear``); after the last sample it holds the final row.
+    ``times`` are strictly increasing sample times starting at 0 and ending
+    before ``duration``, and ``values`` holds one coefficient row per
+    sample.  The signal holds each row until the next sample, and the final
+    row until ``duration``.
     """
 
     n: int
     times: np.ndarray
     values: np.ndarray
     duration: float
-    interpolation: str = "constant"
 
     def __post_init__(self):
         _check_qubit_count(self.n)
@@ -71,17 +76,13 @@ class Schedule:
                 raise ValidationError(f"first sample time must be 0, got {times[0]}")
             if np.any(np.diff(times) <= 0):
                 raise ValidationError("sample times must be strictly increasing")
-            if times[-1] > self.duration:
-                raise ValidationError("sample times must not exceed the duration")
+            if times[-1] >= self.duration:
+                raise ValidationError("sample times must lie before the duration")
         expected = (times.size, 4**self.n - 1)
         if values.shape != expected:
             raise ValidationError(f"values must have shape {expected}, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValidationError("schedule values must be finite")
-        if self.interpolation not in INTERPOLATIONS:
-            raise ValidationError(
-                f"interpolation must be one of {INTERPOLATIONS}, got {self.interpolation!r}"
-            )
         times = times.copy()
         values = values.copy()
         times.flags.writeable = False
@@ -96,14 +97,14 @@ class Schedule:
         return cls(y.n, np.zeros(1), y.values[None, :], duration)
 
     @classmethod
-    def piecewise(cls, n: int, samples, duration: float, interpolation: str = "constant") -> "Schedule":
+    def piecewise(cls, n: int, samples, duration: float) -> "Schedule":
         """Build from ``(time, CoeffVector-or-array)`` pairs."""
         times = []
         rows = []
         for t, y in samples:
             times.append(float(t))
             rows.append(y.values if isinstance(y, CoeffVector) else np.asarray(y, dtype=float))
-        return cls(n, np.array(times), np.array(rows), duration, interpolation)
+        return cls(n, np.array(times), np.array(rows), duration)
 
     @classmethod
     def from_segments(cls, n: int, values, taus) -> "Schedule":
@@ -126,9 +127,7 @@ class Schedule:
 
     @property
     def segments(self) -> tuple[tuple[np.ndarray, float], ...]:
-        """``(row, tau)`` legs in time order; only piecewise-constant schedules have them."""
-        if self.interpolation != "constant":
-            raise DomainError("a linearly interpolated schedule has no constant segments")
+        """``(row, tau)`` legs in time order."""
         taus = np.diff(np.append(self.times, self.duration))
         return tuple(zip(self.values, taus.tolist()))
 
@@ -139,11 +138,7 @@ class Schedule:
         if not 0.0 <= t <= self.duration:
             raise DomainError(f"time {t} outside [0, {self.duration}]")
         index = int(np.searchsorted(self.times, t, side="right")) - 1
-        if self.interpolation == "constant" or index == self.times.size - 1:
-            return self.values[index].copy()
-        t0, t1 = self.times[index], self.times[index + 1]
-        frac = (t - t0) / (t1 - t0)
-        return (1.0 - frac) * self.values[index] + frac * self.values[index + 1]
+        return self.values[index].copy()
 
 
 def _slice_count(duration: float, delta: float) -> float:
@@ -169,16 +164,12 @@ def slice_edges(duration: float, delta: float) -> np.ndarray:
 
 
 def _integral(schedule: Schedule, lo: float, hi: float) -> np.ndarray:
-    """Exact integral of the signal over ``[lo, hi]`` (both interpolation modes)."""
+    """Exact integral of the signal over ``[lo, hi]``."""
     interior = schedule.times[(schedule.times > lo) & (schedule.times < hi)]
     knots = np.concatenate(([lo], interior, [hi]))
     total = np.zeros(schedule.values.shape[1])
     for a, b in zip(knots[:-1], knots[1:]):
-        width = b - a
-        if schedule.interpolation == "constant":
-            total += width * schedule.value_at(a)
-        else:
-            total += (width * 0.5) * (schedule.value_at(a) + schedule.value_at(b))
+        total += (b - a) * schedule.value_at(a)
     return total
 
 
@@ -186,8 +177,7 @@ def slice_mean(schedule: Schedule, delta: float) -> list[CoeffVector]:
     """Mean coefficient vector over each width-``delta`` slice.
 
     Integrals are taken piece by piece between sample times, so the means
-    are exact for both interpolation modes; the truncated final slice is
-    averaged over its true width.
+    are exact; the truncated final slice is averaged over its true width.
     """
     edges = slice_edges(schedule.duration, delta)
     means = []
@@ -209,7 +199,7 @@ def project_schedule(schedule: Schedule, config: MetricConfig) -> Schedule:
     if schedule.n != config.n:
         raise DomainError(f"schedule qubit count {schedule.n} does not match config {config.n}")
     kept = np.where(weight_vector(schedule.n) < PENALIZED_WEIGHT, schedule.values, 0.0)
-    return Schedule(schedule.n, schedule.times, kept, schedule.duration, schedule.interpolation)
+    return Schedule(schedule.n, schedule.times, kept, schedule.duration)
 
 
 @dataclass(frozen=True)
@@ -233,7 +223,7 @@ class GateSequence:
     """Ordered gates produced by synthesis, all of weight at most two.
 
     ``delta`` is the slice width the sequence was synthesized at; each
-    substep spans ``delta**2`` of evolution time.
+    substep spans ``delta / ceil(1/delta)`` of evolution time.
     """
 
     n: int
@@ -256,10 +246,15 @@ class GateSequence:
     @property
     def substep(self) -> float:
         """Evolution time spanned by one substep."""
-        return self.delta**2
+        return self.delta * (1.0 / _substeps(self.delta))
 
     def angles(self) -> np.ndarray:
         return np.array([gate.angle for gate in self.gates])
+
+
+def _substeps(delta: float) -> float:
+    """Substeps per width-``delta`` slice, ``ceil(1/delta)``, as a float (may be huge)."""
+    return float(np.ceil(1.0 / delta - COUNT_GUARD))
 
 
 def synthesize_gates(
@@ -267,9 +262,10 @@ def synthesize_gates(
 ) -> GateSequence:
     """Expand slice means into products of single-word rotations.
 
-    Each slice contributes ``ceil(1/delta)`` substeps.  With ``order=1`` a
-    substep emits one gate ``exp(-i y_i sigma_i delta^2)`` per nonzero
-    coefficient in canonical basis order; ``order=2`` emits the
+    Each slice contributes ``m = ceil(1/delta)`` substeps, which together
+    span the slice width ``delta``.  With ``order=1`` a substep emits one
+    gate ``exp(-i y_i sigma_i delta / m)`` per nonzero coefficient in
+    canonical basis order; ``order=2`` emits the
     symmetrized product (half-angle forward then mirrored), which costs
     twice the gates for one order better accuracy per substep.
 
@@ -281,7 +277,9 @@ def synthesize_gates(
         raise DomainError(f"order must be 1 or 2, got {order}")
     if not (np.isfinite(delta) and 0 < delta):
         raise DomainError(f"slice width must be positive and finite, got {delta}")
-    substeps = int(np.ceil(1.0 / delta - COUNT_GUARD))
+    substeps = _substeps(delta)
+    # a substep spans delta * (1 / substeps), which is delta * delta at delta = 1/m
+    fraction = 1.0 / substeps
     basis = enumerate_basis(config.n)
     weights = weight_vector(config.n)
     gates: list[Gate] = []
@@ -297,12 +295,12 @@ def synthesize_gates(
             raise CoefficientBoundError(worst)
         nonzero = np.flatnonzero(mean.values)
         slice_gates = [
-            Gate(basis[i], float(mean.values[i] * delta * delta)) for i in nonzero
+            Gate(basis[i], float(mean.values[i] * delta * fraction)) for i in nonzero
         ]
         if order == 2:
             half = [Gate(g.string, g.angle / 2.0) for g in slice_gates]
             slice_gates = half + half[::-1]
-        for _ in range(substeps):
+        for _ in range(int(substeps)):
             gates.extend(slice_gates)
     return GateSequence(config.n, tuple(gates), delta)
 
@@ -318,32 +316,12 @@ def gate_product(sequence: GateSequence) -> Unitary:
     return Unitary(sequence.n, state)
 
 
-#: Default substep width used to integrate linearly interpolated schedules.
-LINEAR_ENDPOINT_STEP = 1e-3
-
-
-def schedule_endpoint(schedule: Schedule, linear_step: float = LINEAR_ENDPOINT_STEP) -> Unitary:
-    """Time-ordered evolution of the full (unprojected) schedule.
-
-    Exact (up to eigendecomposition roundoff) for piecewise-constant
-    schedules; linearly interpolated schedules are integrated with a
-    midpoint product over substeps of width at most ``linear_step``.
-    """
+def schedule_endpoint(schedule: Schedule) -> Unitary:
+    """Time-ordered evolution of the full (unprojected) schedule, exact up to
+    eigendecomposition roundoff."""
     state = np.eye(2**schedule.n, dtype=complex)
-    knots = np.concatenate((schedule.times, [schedule.duration]))
-    knots = np.unique(knots)
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        width = float(hi - lo)
-        if schedule.interpolation == "constant":
-            h = reconstruct(CoeffVector(schedule.n, schedule.value_at(lo)))
-            state = unitary_exp(h, width) @ state
-        else:
-            pieces = max(1, int(np.ceil(width / linear_step - COUNT_GUARD)))
-            sub = width / pieces
-            for i in range(pieces):
-                mid = lo + (i + 0.5) * sub
-                h = reconstruct(CoeffVector(schedule.n, schedule.value_at(mid)))
-                state = unitary_exp(h, sub) @ state
+    for row, tau in schedule.segments:
+        state = unitary_exp(reconstruct(CoeffVector(schedule.n, row)), tau) @ state
     return Unitary(schedule.n, state)
 
 
@@ -386,13 +364,17 @@ def _synthesize(schedule: Schedule, config: MetricConfig, delta: float) -> GateS
     projected = project_schedule(schedule, config)
     slices = _slice_count(schedule.duration, delta)
     words = max(1, np.count_nonzero(np.any(projected.values != 0.0, axis=0)))
-    gates = slices * np.ceil(1.0 / delta - COUNT_GUARD) * words
+    gates = slices * _substeps(delta) * words
     if slices > MAX_SLICES or gates > MAX_GATES:
         raise DomainError(
             f"synthesis at delta {delta} needs {slices:.3g} slices and {gates:.3g} gates; "
             f"the limit is {MAX_SLICES} slices and {MAX_GATES} gates"
         )
-    return synthesize_gates(slice_mean(projected, delta), delta, config)
+    means = slice_mean(projected, delta)
+    # every slice is synthesized delta long: rescale the truncated last one to its width
+    edges = slice_edges(schedule.duration, delta)
+    means[-1] = CoeffVector(config.n, means[-1].values * ((edges[-1] - edges[-2]) / delta))
+    return synthesize_gates(means, delta, config)
 
 
 def simulate(schedule: Schedule, config: MetricConfig, delta: float) -> SimulationResult:
@@ -412,20 +394,12 @@ def simulate(schedule: Schedule, config: MetricConfig, delta: float) -> Simulati
     endpoint = gate_product(sequence)
     error = phase_aligned_frobenius(endpoint.matrix, target.matrix) / 2 ** (config.n / 2)
     magnitudes = np.abs(sequence.angles())
-    if magnitudes.size:
-        length = float(np.sum(magnitudes))
-        rho_inf = float(np.min(magnitudes))
-        rho_sup = float(np.max(magnitudes))
-    else:
-        length = 0.0
-        rho_inf = 0.0
-        rho_sup = 0.0
     return SimulationResult(
         gate_sequence=sequence,
         endpoint=endpoint,
         gate_count=len(sequence.gates),
-        synthesized_length=length,
+        synthesized_length=float(np.sum(magnitudes)),
         endpoint_error=float(error),
-        rho_inf=rho_inf,
-        rho_sup=rho_sup,
+        rho_inf=float(np.min(magnitudes)) if magnitudes.size else 0.0,
+        rho_sup=float(np.max(magnitudes, initial=0.0)),
     )

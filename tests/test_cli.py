@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -482,6 +483,21 @@ def test_huge_qubit_count_exits_2(tmp_path, command, option, payload):
     )
     assert proc.returncode == 2, proc.stderr
     assert "'n' must be an integer from 1 to 6" in proc.stderr
+
+
+@pytest.mark.parametrize("segments", ["100000", "100000000"])
+def test_oversize_witness_exits_2(tmp_path, segments):
+    # segments x (4^n - 1) witness coefficients are checked before the witness is built
+    hamiltonian = random_traceless_hermitian(np.random.default_rng(5), 3)
+    matrix = scipy.linalg.expm(-0.1j * hamiltonian)
+    target = _write(tmp_path, "u3.json", {"n": 3, "re": matrix.real.tolist(), "im": matrix.imag.tolist()})
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CGEO, "distance", "--unitary", target,
+         "--segments", segments, "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=120, env=subprocess_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "the limit is 1048576 coefficients" in proc.stderr
 
 
 #: Address-space cap for the n = 6 runs.  The dense basis stack is 268 MB

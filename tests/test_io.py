@@ -135,7 +135,6 @@ def test_schedule_from_path_times():
     schedule = Schedule.from_segments(1, rows, [0.5, 1.0])
     assert np.array_equal(schedule.times, [0.0, 0.5])
     assert schedule.duration == 1.5
-    assert schedule.interpolation == "constant"
     assert schedule.value_at(0.4)[0] == 0.3  # X coefficient held on first segment
 
 
@@ -145,7 +144,6 @@ def test_load_schedule(tmp_path):
     assert schedule.n == 1
     assert np.array_equal(schedule.times, [0.0, 0.5])
     assert schedule.duration == 1.5
-    assert schedule.interpolation == "constant"
 
 
 def test_gates_round_trip(tmp_path):

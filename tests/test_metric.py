@@ -24,9 +24,6 @@ from circuit_geometry import (
 def test_config_derives_partition():
     cfg = MetricConfig(3, 4.0)
     assert cfg.k == 36
-    assert MetricConfig(3, 4.0, k=36).k == 36
-    with pytest.raises(ValidationError):
-        MetricConfig(3, 4.0, k=35)
 
 
 def test_config_rejects_bad_penalty():

@@ -1,5 +1,7 @@
 """Schedules, slicing, projection, gate synthesis, and the pipeline."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,10 @@ from circuit_geometry import (
     unitary_exp,
     weight_vector,
 )
+from circuit_geometry.io import load_schedule
 from circuit_geometry.simulation import slice_edges
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
 def _coeffs(n, words):
@@ -56,14 +61,19 @@ def test_schedule_validation():
         Schedule(1, np.array([0.0]), np.full((1, 3), np.nan), 1.0)
     with pytest.raises(ValidationError):
         Schedule(1, np.array([0.0]), np.zeros((1, 3)), 0.0)
-    with pytest.raises(ValidationError):
-        Schedule(1, np.array([0.0]), np.zeros((1, 3)), 1.0, interpolation="cubic")
     # the empty schedule (the identity path) has no samples and no duration
     empty = Schedule(1, np.array([]), np.zeros((0, 3)), 0.0)
     with pytest.raises(DomainError):
         empty.value_at(0.0)
     with pytest.raises(ValidationError):
         Schedule(1, np.array([]), np.zeros((0, 3)), 1.0)
+
+
+def test_schedule_rejects_sample_at_duration():
+    # a last sample at the duration would be a zero-length segment, which
+    # the schedule format cannot hold (every tau must be positive)
+    with pytest.raises(ValidationError, match="before the duration"):
+        Schedule(1, np.array([0.0, 1.0]), np.zeros((2, 3)), 1.0)
 
 
 def test_value_at_constant_hold():
@@ -75,14 +85,6 @@ def test_value_at_constant_hold():
     assert sched.value_at(1.0)[0] == 2.0
     with pytest.raises(DomainError):
         sched.value_at(1.5)
-
-
-def test_value_at_linear():
-    sched = Schedule.piecewise(1, [(0.0, np.array([0.0, 0.0, 0.0])),
-                                   (1.0, np.array([2.0, 0.0, 0.0]))], 1.0,
-                               interpolation="linear")
-    assert sched.value_at(0.25)[0] == pytest.approx(0.5, abs=1e-15)
-    assert sched.value_at(1.0)[0] == 2.0
 
 
 def test_slice_edges_exact_multiples():
@@ -129,15 +131,6 @@ def test_slice_mean_truncated_width():
     means = slice_mean(sched, 0.3)
     # over [0.9, 1.0]: 0.05 at value 1 and 0.05 at value 3, mean 2
     assert means[-1].values[0] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_slice_mean_linear_ramp():
-    # y(t) = 2t on [0, 1]: mean over [a, b] is (a + b)
-    ramp = Schedule.piecewise(1, [(0.0, np.zeros(3)), (1.0, np.array([2.0, 0.0, 0.0]))],
-                              1.0, interpolation="linear")
-    means = slice_mean(ramp, 0.5)
-    assert means[0].values[0] == pytest.approx(0.5, abs=1e-14)
-    assert means[1].values[0] == pytest.approx(1.5, abs=1e-14)
 
 
 def test_projection_zeroes_heavy_words():
@@ -204,6 +197,25 @@ def test_synthesize_non_integral_substeps():
     assert len(seq.gates) == 12
 
 
+def test_synthesis_evolves_for_the_schedule_duration():
+    # one word commutes with itself, so the gate angles must add up to
+    # y * duration: 4 slices (the last 0.1 wide) of ceil(1/0.3) = 4 substeps
+    cfg = MetricConfig(1, 1.0)
+    y = _coeffs(1, {"X": 0.5})
+    result = simulate(Schedule.constant(y, 1.0), cfg, 0.3)
+    assert result.gate_count == 16
+    assert result.synthesized_length == pytest.approx(0.5, abs=1e-15)
+    assert result.gate_sequence.substep == pytest.approx(0.075, abs=1e-17)
+    assert result.endpoint_error < 1e-12
+
+
+def test_simulate_schedule2_non_integral_substeps():
+    # delta = 0.3: 1/delta is not an integer and the last slice is truncated
+    schedule = load_schedule(os.path.join(GOLDEN_INPUTS, "schedule2.json"))
+    result = simulate(schedule, MetricConfig(schedule.n, 4.0), 0.3)
+    assert result.endpoint_error < 0.02
+
+
 def test_synthesize_second_order_flag():
     cfg = MetricConfig(2, 1.0)
     means = slice_mean(Schedule.constant(XI_ZZ, 0.2), 0.2)
@@ -268,15 +280,6 @@ def test_schedule_endpoint_piecewise_product():
     sched = Schedule.piecewise(1, [(0.0, a), (0.6, b)], 1.0)
     want = unitary_exp(reconstruct(b), 0.4) @ unitary_exp(reconstruct(a), 0.6)
     assert np.max(np.abs(schedule_endpoint(sched).matrix - want)) < 1e-12
-
-
-def test_schedule_endpoint_linear_against_refinement():
-    rng = np.random.default_rng(1)
-    rows = rng.normal(size=(3, 3)) * 0.5
-    sched = Schedule(1, np.array([0.0, 0.4, 0.8]), rows, 1.0, interpolation="linear")
-    coarse = schedule_endpoint(sched, linear_step=1e-2)
-    fine = schedule_endpoint(sched, linear_step=1e-4)
-    assert np.max(np.abs(coarse.matrix - fine.matrix)) < 1e-4
 
 
 def test_result_validation():
