@@ -20,7 +20,16 @@ import numpy as np
 from .charts import Unitary, phase_aligned_frobenius, unitary_exp
 from .errors import CoefficientBoundError, DomainError, ValidationError
 from .metric import PENALIZED_WEIGHT, MetricConfig
-from .pauli import CoeffVector, PauliString, _check_qubit_count, enumerate_basis, reconstruct, weight_vector
+from .pauli import (
+    CoeffVector,
+    PauliString,
+    _check_qubit_count,
+    _word_positions,
+    enumerate_basis,
+    reconstruct,
+    weight_vector,
+    word_actions,
+)
 
 #: Guard for float division when counting slices and substeps: a duration
 #: that is an exact multiple of delta must not gain a spurious extra slice.
@@ -30,7 +39,8 @@ COUNT_GUARD = 1e-12
 #: counts are known in closed form before anything is allocated.  The gate
 #: count is slices x substeps x nonzero weight-<=2 words, with an empty
 #: substep counted as one gate.  A gate holds about 16 bytes of sequence storage and costs
-#: one dense product (about 60 us at n = 6 on a 2-core Xeon VM).  A slice
+#: one row gather and two scaled adds of the state (about 22 us at n = 6 on a
+#: 2-core Xeon VM, so the limit is about 22 s of gate product).  A slice
 #: mean holds 4^n - 1 coefficients (32 KB at n = 6), so the slice limit keeps
 #: the means within about 134 MB.  The largest synthesis the benchmark runs
 #: (n = 6) has 40 slices and 21,600 gates.
@@ -39,8 +49,8 @@ MAX_SLICES = 4096
 
 #: Largest distance witness, in coefficients (legs x (4^n - 1)), checked before
 #: it is built.  At the limit (16,644 legs at n = 3, 256 at n = 6) a ``cgeo
-#: distance`` report is about 45 MB and the run peaks at 366 MB (n = 3) and
-#: 606 MB (n = 6, with the 268 MB dense basis stack), on a 2-core Xeon VM.
+#: distance`` report is 46-48 MB and the run peaks at 367 MB in 5.3 s (n = 3)
+#: and 361 MB in 4.0 s (n = 6), on a 2-core Xeon VM.
 MAX_WITNESS_COEFFICIENTS = 1 << 20
 
 
@@ -113,13 +123,20 @@ class Schedule:
         Sample times are the sequential running sum of the durations, so
         :attr:`segments` returns every duration exactly whenever those sums
         are exact (as they are for dyadic durations).  No segments give the
-        empty schedule.
+        empty schedule.  A segment too short to advance the running sum
+        raises ``ValidationError``.
         """
         times = [0.0]
         for index, tau in enumerate(taus):
             if not (np.isfinite(tau) and tau > 0):
                 raise ValidationError(f"segment {index} duration must be positive and finite, got {tau}")
-            times.append(times[-1] + float(tau))
+            end = times[-1] + float(tau)
+            if end == times[-1]:
+                raise ValidationError(
+                    f"segment {index} (tau {tau}) is below the float resolution of its start time "
+                    f"{times[-1]}: it would be lost"
+                )
+            times.append(end)
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             values = values.reshape(0, 4**n - 1)
@@ -210,12 +227,30 @@ class Gate:
     angle: float
 
     def matrix(self) -> np.ndarray:
-        return _rotation(self.angle, np.eye(2**self.string.n), self.string.matrix())
+        n = self.string.n
+        source, phase = word_actions(n)
+        k = _word_positions(n)[self.string.letters]
+        eye = np.eye(2**n, dtype=complex)
+        return _rotate(eye, self.angle, source[k], phase[k], np.empty_like(eye))
 
 
-def _rotation(angle: float, eye: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``exp(-i angle sigma)``, which closes in two terms because ``sigma`` is involutory."""
-    return np.cos(angle) * eye - 1j * np.sin(angle) * sigma
+def _rotate(state: np.ndarray, angle: float, source: np.ndarray, phase: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
+    """Overwrite ``state`` with ``exp(-i angle sigma) @ state`` and return it.
+
+    ``sigma @ state == phase[:, None] * state[source]`` (one row of
+    :func:`word_actions`), and the exponential closes in two terms,
+    ``cos(angle) I - i sin(angle) sigma``, because ``sigma`` is involutory.
+    ``sigma @ state`` is exact, so each entry is two rounded products and
+    one rounded sum, as in ``cos(angle) * state - 1j * sin(angle) * (sigma @ state)``.
+    ``scratch`` is a buffer of the shape of ``state``.
+    """
+    # every source index is in range; "wrap" only skips the bounds check that buffers ``out``
+    state.take(source, axis=0, out=scratch, mode="wrap")
+    scratch *= (-1j * np.sin(angle) * phase)[:, None]
+    state *= np.cos(angle)
+    state += scratch
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,11 +343,13 @@ def synthesize_gates(
 def gate_product(sequence: GateSequence) -> Unitary:
     """Ordered product of the gates (later gates multiply on the left)."""
     dim = 2**sequence.n
-    matrices = {str(s): s.matrix() for s in {g.string for g in sequence.gates}}
-    eye = np.eye(dim, dtype=complex)
-    state = eye.copy()
+    source, phase = word_actions(sequence.n)
+    positions = _word_positions(sequence.n)
+    state = np.eye(dim, dtype=complex)
+    scratch = np.empty_like(state)
     for gate in sequence.gates:
-        state = _rotation(gate.angle, eye, matrices[str(gate.string)]) @ state
+        k = positions[gate.string.letters]
+        _rotate(state, gate.angle, source[k], phase[k], scratch)
     return Unitary(sequence.n, state)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from circuit_geometry import cli
 from circuit_geometry.cli import main
-from util import random_traceless_hermitian, subprocess_env
+from util import chain_schedule, random_traceless_hermitian, subprocess_env
 
 
 @pytest.fixture
@@ -500,9 +500,8 @@ def test_oversize_witness_exits_2(tmp_path, segments):
     assert "the limit is 1048576 coefficients" in proc.stderr
 
 
-#: Address-space cap for the n = 6 runs.  The dense basis stack is 268 MB
-#: and fits once; a second full copy of it, or a distortion batch of 8192
-#: rows (268 MB), does not.
+#: Address-space cap for the n = 6 runs.  A distortion batch of 8192 rows
+#: (268 MB) does not fit under it; the chunked sampler does.
 N6_MEMORY_CAP = 576 << 20
 
 
@@ -519,3 +518,37 @@ def test_n6_runs_fit_under_memory_cap(tmp_path, command):
         capture_output=True, text=True, timeout=120, env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: Address-space cap under which n = 6 ``decompose`` and ``simulate`` run:
+#: the interpreter with numpy and scipy loaded, a 64 x 64 matrix and the
+#: word tables (a few MB); a dense stack of the 4095 basis words (268 MB)
+#: does not fit.
+N6_KERNEL_CAP = 320 << 20
+
+
+@pytest.mark.parametrize("command", ["decompose", "simulate"])
+def test_n6_kernel_runs_without_a_dense_basis_stack(tmp_path, command):
+    if command == "decompose":
+        matrix = random_traceless_hermitian(np.random.default_rng(3), 6)
+        path = _write(tmp_path, "h6.json", {"n": 6, "re": matrix.real.tolist(), "im": matrix.imag.tolist()})
+        args = ["decompose", "--matrix", path]
+    else:
+        path = _write(tmp_path, "chain6.json", chain_schedule(np.random.default_rng(11), 6, 2.0))
+        args = ["simulate", "--schedule", path, "--delta", "0.05"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _capped_cgeo(N6_KERNEL_CAP), *args, "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=120, env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_segment_below_float_resolution_exits_2(runner, tmp_path):
+    # 1e17 + 1.0 == 1e17: the second segment would vanish from the running sum
+    schedule = _write(tmp_path, "tiny.json", {"n": 1, "segments": [
+        {"tau": 1e17, "y": {"X": 0.5}}, {"tau": 1.0, "y": {"Z": 0.5}},
+    ]})
+    result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "1e16",
+                                  "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert "segment 1 (tau 1.0) is below the float resolution of its start time 1e+17" in result.output

@@ -1,6 +1,7 @@
 """Paths (piecewise-constant schedules), lengths, and the two-sided distance estimates."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -261,3 +262,17 @@ def test_distance_upper_branch_cut_raises_without_search():
     with pytest.raises(InfeasibleError, match="no feasible schedule found: .*principal logarithm"):
         distance_upper(u, MetricConfig(2, 2.0))
     assert distance_upper(identity(2), MetricConfig(2, 2.0)).stats.runs == 0
+
+
+def test_distance_upper_six_qubits_256_legs_is_fast():
+    # one reconstruct per leg: the bitmask kernel keeps 256 legs at n = 6 within seconds
+    y = random_coeffs(np.random.default_rng(5), 6, scale=0.25)
+    target = exp_coords(y, identity(6))
+    config = MetricConfig(6, 64.0)
+    began = time.perf_counter()
+    estimate = distance_upper(target, config, OptimizerSettings(segments=256))
+    elapsed = time.perf_counter() - began
+    assert elapsed < 3.0
+    assert len(estimate.witness.segments) == 256
+    assert estimate.stats.endpoint_error <= ENDPOINT_TOL
+    assert estimate.upper == path_length(estimate.witness, config)

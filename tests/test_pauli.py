@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circuit_geometry import (
     CoeffVector,
@@ -9,14 +11,14 @@ from circuit_geometry import (
     IdentityComponentError,
     PauliString,
     ValidationError,
-    basis_matrices,
     decompose,
     enumerate_basis,
     partition_k,
     reconstruct,
     weight_vector,
+    word_actions,
 )
-from util import random_traceless_hermitian
+from util import dense_basis, dense_decompose, dense_reconstruct, random_traceless_hermitian
 
 
 def test_partition_formula_exact():
@@ -70,7 +72,7 @@ def test_matrices_are_involutory_traceless_hermitian():
 
 
 def test_orthogonality_under_trace():
-    stack = basis_matrices(2)
+    stack = dense_basis(2)
     gram = np.einsum("aij,bji->ab", stack, stack).real
     assert np.allclose(gram, 4.0 * np.eye(15))
 
@@ -79,9 +81,12 @@ def test_weight_vector_matches_basis():
     assert list(weight_vector(2)) == [s.weight for s in enumerate_basis(2)]
 
 
-def test_basis_matrices_read_only():
+def test_word_actions_read_only():
+    source, phase = word_actions(1)
     with pytest.raises(ValueError):
-        basis_matrices(1)[0, 0, 0] = 5.0
+        source[0, 0] = 1
+    with pytest.raises(ValueError):
+        phase[0, 0] = 5.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -193,3 +198,32 @@ def test_from_words_rejects_unknown():
         CoeffVector.from_words(2, {"II": 1.0})
     with pytest.raises(ValidationError):
         CoeffVector.from_words(2, {"X": 1.0})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_word_actions_reproduce_dense_words(n):
+    # sigma_k @ S == phase[k][:, None] * S[source[k]], bit for bit
+    source, phase = word_actions(n)
+    stack = dense_basis(n)
+    rng = np.random.default_rng(n)
+    s = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    eye = np.eye(2**n, dtype=complex)
+    for k in range(len(stack)):
+        assert np.array_equal(phase[k][:, None] * eye[source[k]], stack[k])
+        assert np.array_equal(phase[k][:, None] * s[source[k]], stack[k] @ s)
+
+
+# the n = 6 oracle takes about 1.5 s (4095 dense words): run it on fixed examples only
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=6, sparse=False, seed=6)
+@example(n=6, sparse=True, seed=7)
+def test_reconstruct_and_decompose_match_dense_oracle(n, sparse, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=4**n - 1)
+    if sparse:
+        values[rng.random(values.size) < 0.9] = 0.0
+    h = dense_reconstruct(values, n)
+    assert np.max(np.abs(reconstruct(CoeffVector(n, values)) - h)) <= 1e-12
+    assert np.max(np.abs(decompose(h, n).values - dense_decompose(h, n))) <= 1e-12
+    assert np.max(np.abs(decompose(h, n).values - values)) <= 1e-12

@@ -29,8 +29,9 @@ from circuit_geometry import (
     unitary_exp,
     weight_vector,
 )
-from circuit_geometry.io import load_schedule
-from circuit_geometry.simulation import slice_edges
+from circuit_geometry.io import load_schedule, schedule_from_dict
+from circuit_geometry.simulation import _synthesize, slice_edges
+from util import chain_schedule, dense_gate_product
 
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
@@ -159,10 +160,14 @@ def test_project_schedule_rows():
 
 
 def test_gate_matrix_oracle():
-    gate = Gate(PauliString("XZ"), 0.3)
-    sigma = PauliString("XZ").matrix()
-    want = np.cos(0.3) * np.eye(4) - 1j * np.sin(0.3) * sigma
-    assert np.max(np.abs(gate.matrix() - want)) < 1e-15
+    # cos(a) I - i sin(a) sigma, bit for bit, for every word at n = 1..4
+    for n in (1, 2, 3, 4):
+        eye = np.eye(2**n)
+        for word in enumerate_basis(n):
+            sigma = word.matrix()
+            for angle in (0.3, -1.1, 1e-3, 2.5):
+                want = np.cos(angle) * eye - 1j * np.sin(angle) * sigma
+                assert np.array_equal(Gate(word, angle).matrix(), want), (str(word), angle)
 
 
 def test_gate_sequence_validation():
@@ -262,6 +267,23 @@ def test_gate_product_ordering():
     seq = GateSequence(1, (gx, gz), 0.5)
     want = gz.matrix() @ gx.matrix()
     assert np.max(np.abs(gate_product(seq).matrix - want)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gate_product_matches_dense_loop_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    local = [word for word in enumerate_basis(n) if word.weight <= 2]
+    gates = tuple(Gate(local[i], float(a)) for i, a in
+                  zip(rng.integers(len(local), size=400), rng.uniform(-0.05, 0.05, size=400)))
+    sequence = GateSequence(n, gates, 0.1)
+    assert np.array_equal(gate_product(sequence).matrix, dense_gate_product(sequence))
+
+
+def test_gate_product_matches_dense_loop_on_a_six_qubit_chain():
+    schedule = schedule_from_dict(chain_schedule(np.random.default_rng(11), 6, 0.5))
+    sequence = _synthesize(schedule, MetricConfig(6, 64.0), 0.25)
+    assert len(sequence.gates) == 2 * 4 * 27
+    assert np.array_equal(gate_product(sequence).matrix, dense_gate_product(sequence))
 
 
 def test_gate_product_empty():

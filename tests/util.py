@@ -1,10 +1,11 @@
-"""Shared helpers for the test suite: seeded random matrices and schedules."""
+"""Shared helpers for the test suite: seeded random matrices and schedules,
+and dense oracles for the Pauli bitmask kernel."""
 
 import os
 
 import numpy as np
 
-from circuit_geometry import CoeffVector, Unitary
+from circuit_geometry import CoeffVector, Unitary, enumerate_basis
 
 
 def random_traceless_hermitian(rng, n):
@@ -29,6 +30,62 @@ def random_coeffs(rng, n, scale=1.0):
     values = rng.normal(size=4**n - 1)
     values = values / np.linalg.norm(values) * scale
     return CoeffVector(n, values)
+
+
+def chain_schedule(rng, n, duration):
+    """Schedule-format dict shaped like the benchmark's synthesis input.
+
+    Four segments over the nearest-neighbour words (X and Z on each qubit;
+    XX, YY and ZZ on each adjacent pair) with coefficients of magnitude
+    0.6 to 0.9, plus 0.02 on the weight-3 word ZZZ on the first three qubits.
+    """
+    support = ["I" * q + a + "I" * (n - q - 1) for q in range(n) for a in "XZ"]
+    support += ["I" * q + a * 2 + "I" * (n - q - 2) for q in range(n - 1) for a in "XYZ"]
+    signs = rng.choice([-1.0, 1.0], size=len(support))
+    segments = []
+    for _ in range(4):
+        y = dict(zip(support, (signs * rng.uniform(0.6, 0.9, size=len(support))).tolist()))
+        if n >= 3:
+            y["ZZZ" + "I" * (n - 3)] = 0.02
+        segments.append({"tau": duration / 4, "y": y})
+    return {"n": n, "segments": segments}
+
+
+def dense_basis(n):
+    """Stack of every basis word's dense matrix in canonical order, (4^n - 1, 2^n, 2^n)."""
+    basis = enumerate_basis(n)
+    stack = np.empty((len(basis), 2**n, 2**n), dtype=complex)
+    for index, word in enumerate(basis):
+        stack[index] = word.matrix()
+    return stack
+
+
+def dense_reconstruct(values, n):
+    """``sum_k y_k sigma_k`` from the dense word matrices, one word at a time."""
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for value, word in zip(values, enumerate_basis(n)):
+        if value != 0.0:
+            out += value * word.matrix()
+    return out
+
+
+def dense_decompose(matrix, n):
+    """``Re tr(sigma_k H) / 2^n`` for every word, from the dense word matrices."""
+    return np.array([np.einsum("ij,ji->", word.matrix(), matrix).real for word in enumerate_basis(n)]) / 2**n
+
+
+def dense_gate_product(sequence):
+    """Gate product by a loop of dense matrix products.
+
+    Each gate applies ``cos(a) S - i sin(a) (sigma @ S)``.  ``sigma @ S`` is
+    exact whatever BLAS kernel forms it (one nonzero of modulus one per
+    row), so this rounds as the rotation formula does and not as a
+    kernel's fused multiply-adds do.
+    """
+    state = np.eye(2**sequence.n, dtype=complex)
+    for gate in sequence.gates:
+        state = np.cos(gate.angle) * state - 1j * np.sin(gate.angle) * (gate.string.matrix() @ state)
+    return state
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
