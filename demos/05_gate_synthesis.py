@@ -8,6 +8,7 @@ from circuit_geometry import (
     CoeffVector,
     MetricConfig,
     Schedule,
+    enumerate_basis,
     gate_product,
     reconstruct,
     simulate,
@@ -29,7 +30,9 @@ def main():
     print(f"synthesized length L = {result.synthesized_length:.6f}")
     print(f"angle extremes: rho_inf = {result.rho_inf:.4f}, rho_sup = {result.rho_sup:.4f}")
     print(f"endpoint error vs dense propagator: {result.endpoint_error:.3e}")
-    print("first four gates:", [(str(g.string), round(g.angle, 4)) for g in seq.gates[:4]])
+    basis = enumerate_basis(2)
+    first = zip(seq.gates[:4].tolist(), seq.angles[:4].tolist())
+    print("first four gates:", [(str(basis[k]), round(angle, 4)) for k, angle in first])
 
     print("\n== error shrinks quadratically with the slice width ==")
     for delta in (0.2, 0.1, 0.05, 0.025):
@@ -46,7 +49,7 @@ def main():
         err1 = np.linalg.norm(gate_product(seq1).matrix - exact)
         err2 = np.linalg.norm(gate_product(seq2).matrix - exact)
         print(f"  delta {delta:5.2f}: order-1 error {err1:.3e}, "
-              f"order-2 error {err2:.3e} ({len(seq1.gates)} vs {len(seq2.gates)} gates)")
+              f"order-2 error {err2:.3e} ({seq1.gates.size} vs {seq2.gates.size} gates)")
 
     print("\n== a time-dependent schedule ==")
     rng = np.random.default_rng(5)

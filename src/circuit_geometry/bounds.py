@@ -221,7 +221,7 @@ def gate_count_scaling(schedule: Schedule, config: MetricConfig, deltas) -> Scal
             f"slice widths span a factor of {span:.3f}; at least {SCALING_MIN_SPAN} is required"
         )
     # only the counts are read, so neither gate products nor endpoints are formed
-    counts = [len(_synthesize(schedule, config, width).gates) for width in widths]
+    counts = [_synthesize(schedule, config, width).gates.size for width in widths]
     if any(c <= 0 for c in counts):
         raise DomainError("schedule synthesizes to zero gates; nothing to fit")
     x = np.log(1.0 / np.array(widths))

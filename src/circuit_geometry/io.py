@@ -26,8 +26,8 @@ import numpy as np
 
 from .charts import Unitary
 from .errors import ValidationError
-from .pauli import MAX_QUBITS, CoeffVector, PauliString
-from .simulation import Gate, GateSequence, Schedule
+from .pauli import MAX_QUBITS, CoeffVector, _word_positions, enumerate_basis
+from .simulation import GateSequence, Schedule
 
 
 def _require(condition: bool, message: str) -> None:
@@ -135,14 +135,15 @@ def load_schedule(path: str) -> Schedule:
 
 
 def gates_to_dict(sequence: GateSequence) -> dict:
-    return {
-        "n": sequence.n,
-        "delta": sequence.delta,
-        "gates": [{"pauli": str(g.string), "angle": g.angle} for g in sequence.gates],
-    }
+    """The gates format: each position written as its word's letters."""
+    basis = enumerate_basis(sequence.n)
+    pairs = zip(sequence.gates.tolist(), sequence.angles.tolist())
+    gates = [{"pauli": basis[k].letters, "angle": angle} for k, angle in pairs]
+    return {"n": sequence.n, "delta": sequence.delta, "gates": gates}
 
 
 def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
+    """Parse the gates format; each word must be a non-identity word on ``n`` qubits."""
     _require(isinstance(payload, dict), f"{source}: expected a JSON object")
     for key in ("n", "delta", "gates"):
         _require(key in payload, f"{source}: missing key {key!r}")
@@ -150,14 +151,19 @@ def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
     delta = _number(payload["delta"], f"{source}: 'delta'")
     entries = payload["gates"]
     _require(isinstance(entries, list), f"{source}: 'gates' must be a list")
+    positions = _word_positions(n)
     gates = []
+    angles = []
     for index, entry in enumerate(entries):
         where = f"{source}: gate {index}"
         _require(isinstance(entry, dict), f"{where}: expected an object")
         _require("pauli" in entry and "angle" in entry, f"{where}: needs 'pauli' and 'angle'")
-        angle = _number(entry["angle"], f"{where}: 'angle'")
-        gates.append(Gate(PauliString(str(entry["pauli"])), angle))
-    return GateSequence(n, tuple(gates), delta)
+        word = entry["pauli"]
+        _require(isinstance(word, str) and word in positions,
+                 f"{where}: 'pauli' must be a non-identity word of {n} letters from 'IXYZ', got {word!r}")
+        gates.append(positions[word])
+        angles.append(_number(entry["angle"], f"{where}: 'angle'"))
+    return GateSequence(n, gates, angles, delta)
 
 
 def load_gates(path: str) -> GateSequence:

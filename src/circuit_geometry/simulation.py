@@ -22,10 +22,7 @@ from .errors import CoefficientBoundError, DomainError, ValidationError
 from .metric import PENALIZED_WEIGHT, MetricConfig
 from .pauli import (
     CoeffVector,
-    PauliString,
     _check_qubit_count,
-    _word_positions,
-    enumerate_basis,
     reconstruct,
     weight_vector,
     word_actions,
@@ -38,12 +35,13 @@ COUNT_GUARD = 1e-12
 #: Largest synthesis :func:`simulate` (and the scaling sweep) attempts.  Both
 #: counts are known in closed form before anything is allocated.  The gate
 #: count is slices x substeps x nonzero weight-<=2 words, with an empty
-#: substep counted as one gate.  A gate holds about 16 bytes of sequence storage and costs
-#: one row gather and two scaled adds of the state (about 22 us at n = 6 on a
-#: 2-core Xeon VM, so the limit is about 22 s of gate product).  A slice
-#: mean holds 4^n - 1 coefficients (32 KB at n = 6), so the slice limit keeps
-#: the means within about 134 MB.  The largest synthesis the benchmark runs
-#: (n = 6) has 40 slices and 21,600 gates.
+#: substep counted as one gate.  A gate is 16 bytes of sequence storage (an
+#: int position and a float angle) and costs one row gather and two scaled adds
+#: of the state (about 21 us at n = 6 on a 2-core Xeon VM, so the limit is about
+#: 16 MB of columns and 21 s of gate product).  A slice mean holds 4^n - 1
+#: coefficients (32 KB at n = 6), so the slice limit keeps the means within
+#: about 134 MB.  The largest synthesis the benchmark runs (n = 6) has 40
+#: slices and 21,600 gates.
 MAX_GATES = 1_000_000
 MAX_SLICES = 4096
 
@@ -219,31 +217,18 @@ def project_schedule(schedule: Schedule, config: MetricConfig) -> Schedule:
     return Schedule(schedule.n, schedule.times, kept, schedule.duration)
 
 
-@dataclass(frozen=True)
-class Gate:
-    """Single Pauli-word rotation ``exp(-i angle sigma)``."""
-
-    string: PauliString
-    angle: float
-
-    def matrix(self) -> np.ndarray:
-        n = self.string.n
-        source, phase = word_actions(n)
-        k = _word_positions(n)[self.string.letters]
-        eye = np.eye(2**n, dtype=complex)
-        return _rotate(eye, self.angle, source[k], phase[k], np.empty_like(eye))
-
-
 def _rotate(state: np.ndarray, angle: float, source: np.ndarray, phase: np.ndarray,
             scratch: np.ndarray) -> np.ndarray:
     """Overwrite ``state`` with ``exp(-i angle sigma) @ state`` and return it.
 
-    ``sigma @ state == phase[:, None] * state[source]`` (one row of
-    :func:`word_actions`), and the exponential closes in two terms,
-    ``cos(angle) I - i sin(angle) sigma``, because ``sigma`` is involutory.
-    ``sigma @ state`` is exact, so each entry is two rounded products and
-    one rounded sum, as in ``cos(angle) * state - 1j * sin(angle) * (sigma @ state)``.
-    ``scratch`` is a buffer of the shape of ``state``.
+    :func:`gate_product` applies it once per gate; ``source`` and ``phase``
+    are the row of :func:`word_actions` at the gate's position, so
+    ``sigma @ state == phase[:, None] * state[source]``.  The exponential
+    closes in two terms, ``cos(angle) I - i sin(angle) sigma``, because
+    ``sigma`` is involutory.  ``sigma @ state`` is exact, so each entry is two
+    rounded products and one rounded sum, as in
+    ``cos(angle) * state - 1j * sin(angle) * (sigma @ state)``.  ``scratch``
+    is a buffer of the shape of ``state``.
     """
     # every source index is in range; "wrap" only skips the bounds check that buffers ``out``
     state.take(source, axis=0, out=scratch, mode="wrap")
@@ -255,36 +240,49 @@ def _rotate(state: np.ndarray, angle: float, source: np.ndarray, phase: np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class GateSequence:
-    """Ordered gates produced by synthesis, all of weight at most two.
+    """Synthesized circuit as two read-only columns in application order: gate
+    ``s`` is ``exp(-i angles[s] sigma_k)`` for the weight-<=2 basis word at
+    canonical position ``k = gates[s]``.
 
     ``delta`` is the slice width the sequence was synthesized at; each
     substep spans ``delta / ceil(1/delta)`` of evolution time.
     """
 
     n: int
-    gates: tuple[Gate, ...]
+    gates: np.ndarray
+    angles: np.ndarray
     delta: float
 
     def __post_init__(self):
-        gates = tuple(self.gates)
-        for gate in gates:
-            if gate.string.n != self.n:
-                raise ValidationError(
-                    f"gate word {gate.string} acts on {gate.string.n} qubits, expected {self.n}"
-                )
-            if gate.string.weight > 2:
-                raise ValidationError(f"gate word {gate.string} has weight above two")
+        gates = np.asarray(self.gates)
+        angles = np.array(self.angles, dtype=float)
+        if gates.size and gates.dtype.kind not in "iu":
+            raise ValidationError(f"gate positions must be integers, got dtype {gates.dtype}")
+        gates = gates.astype(np.intp)
+        if gates.ndim != 1 or gates.shape != angles.shape:
+            raise ValidationError(f"gates {gates.shape} and angles {angles.shape} must be 1-d of one length")
+        words = 4**self.n - 1
+        _refuse_first((gates < 0) | (gates >= words), gates, angles, f"position outside 0..{words - 1}")
+        _refuse_first(weight_vector(self.n)[gates] > 2, gates, angles, "word of weight above two")
+        _refuse_first(~np.isfinite(angles), gates, angles, "non-finite angle")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValidationError(f"slice width must be positive and finite, got {self.delta}")
+        gates.flags.writeable = False
+        angles.flags.writeable = False
         object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "angles", angles)
 
     @property
     def substep(self) -> float:
         """Evolution time spanned by one substep."""
         return self.delta * (1.0 / _substeps(self.delta))
 
-    def angles(self) -> np.ndarray:
-        return np.array([gate.angle for gate in self.gates])
+
+def _refuse_first(bad: np.ndarray, gates: np.ndarray, angles: np.ndarray, what: str) -> None:
+    """Raise ``ValidationError`` naming the first gate flagged in ``bad``, if any."""
+    if np.any(bad):
+        index = int(np.argmax(bad))
+        raise ValidationError(f"gate {index} (position {gates[index]}, angle {angles[index]}) has a {what}")
 
 
 def _substeps(delta: float) -> float:
@@ -315,9 +313,9 @@ def synthesize_gates(
     substeps = _substeps(delta)
     # a substep spans delta * (1 / substeps), which is delta * delta at delta = 1/m
     fraction = 1.0 / substeps
-    basis = enumerate_basis(config.n)
     weights = weight_vector(config.n)
-    gates: list[Gate] = []
+    gates = [np.empty(0, dtype=np.intp)]
+    angles = [np.empty(0)]
     for mean in means:
         if mean.n != config.n:
             raise DomainError(f"mean qubit count {mean.n} does not match config {config.n}")
@@ -328,37 +326,37 @@ def synthesize_gates(
         worst = float(np.max(np.abs(mean.values), initial=0.0))
         if worst > 1.0:
             raise CoefficientBoundError(worst)
-        nonzero = np.flatnonzero(mean.values)
-        slice_gates = [
-            Gate(basis[i], float(mean.values[i] * delta * fraction)) for i in nonzero
-        ]
+        words = np.flatnonzero(mean.values)
+        slice_angles = mean.values[words] * delta * fraction
         if order == 2:
-            half = [Gate(g.string, g.angle / 2.0) for g in slice_gates]
-            slice_gates = half + half[::-1]
-        for _ in range(int(substeps)):
-            gates.extend(slice_gates)
-    return GateSequence(config.n, tuple(gates), delta)
+            words = np.concatenate((words, words[::-1]))
+            half = slice_angles / 2.0
+            slice_angles = np.concatenate((half, half[::-1]))
+        gates.append(np.tile(words, int(substeps)))
+        angles.append(np.tile(slice_angles, int(substeps)))
+    return GateSequence(config.n, np.concatenate(gates), np.concatenate(angles), delta)
 
 
 def gate_product(sequence: GateSequence) -> Unitary:
     """Ordered product of the gates (later gates multiply on the left)."""
     dim = 2**sequence.n
     source, phase = word_actions(sequence.n)
-    positions = _word_positions(sequence.n)
     state = np.eye(dim, dtype=complex)
     scratch = np.empty_like(state)
-    for gate in sequence.gates:
-        k = positions[gate.string.letters]
-        _rotate(state, gate.angle, source[k], phase[k], scratch)
+    for k, angle in zip(sequence.gates.tolist(), sequence.angles.tolist()):
+        _rotate(state, angle, source[k], phase[k], scratch)
     return Unitary(sequence.n, state)
 
 
 def schedule_endpoint(schedule: Schedule) -> Unitary:
     """Time-ordered evolution of the full (unprojected) schedule, exact up to
-    eigendecomposition roundoff."""
+    eigendecomposition roundoff.  A leg equal to the previous one reuses its propagator."""
     state = np.eye(2**schedule.n, dtype=complex)
+    leg = step = None
     for row, tau in schedule.segments:
-        state = unitary_exp(reconstruct(CoeffVector(schedule.n, row)), tau) @ state
+        if leg is None or tau != leg[1] or not np.array_equal(row, leg[0]):
+            leg, step = (row, tau), unitary_exp(reconstruct(CoeffVector(schedule.n, row)), tau)
+        state = step @ state
     return Unitary(schedule.n, state)
 
 
@@ -374,24 +372,22 @@ class SimulationResult:
 
     gate_sequence: GateSequence
     endpoint: Unitary
-    gate_count: int
     synthesized_length: float
     endpoint_error: float
     rho_inf: float
     rho_sup: float
 
     def __post_init__(self):
-        if self.gate_count != len(self.gate_sequence.gates):
-            raise ValidationError(
-                f"gate count {self.gate_count} does not match the sequence "
-                f"({len(self.gate_sequence.gates)} gates)"
-            )
         if self.rho_inf > self.rho_sup:
             raise ValidationError(
                 f"rho_inf {self.rho_inf} exceeds rho_sup {self.rho_sup}"
             )
         if self.endpoint_error < 0 or not np.isfinite(self.endpoint_error):
             raise ValidationError("endpoint error must be finite and nonnegative")
+
+    @property
+    def gate_count(self) -> int:
+        return self.gate_sequence.gates.size
 
 
 def _synthesize(schedule: Schedule, config: MetricConfig, delta: float) -> GateSequence:
@@ -430,11 +426,10 @@ def simulate(schedule: Schedule, config: MetricConfig, delta: float) -> Simulati
     target = schedule_endpoint(schedule)
     endpoint = gate_product(sequence)
     error = phase_aligned_frobenius(endpoint.matrix, target.matrix) / 2 ** (config.n / 2)
-    magnitudes = np.abs(sequence.angles())
+    magnitudes = np.abs(sequence.angles)
     return SimulationResult(
         gate_sequence=sequence,
         endpoint=endpoint,
-        gate_count=len(sequence.gates),
         synthesized_length=float(np.sum(magnitudes)),
         endpoint_error=float(error),
         rho_inf=float(np.min(magnitudes)) if magnitudes.size else 0.0,

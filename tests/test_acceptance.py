@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from circuit_geometry import (
     CoeffVector,
+    GateSequence,
     MetricConfig,
     OptimizerSettings,
     PenaltyNorm,
@@ -201,7 +202,8 @@ def test_criterion_08_simulation_sandwich():
         result = simulate(schedule, config, delta)
         sandwich_ok &= check_sim_sandwich(result, config).passed
 
-        angles = result.gate_sequence.angles()
+        sequence = result.gate_sequence
+        angles = sequence.angles
         refinement = abs(math.fsum(abs(a) for a in angles) - result.synthesized_length)
         refinement_worst = max(refinement_worst, refinement)
 
@@ -209,9 +211,9 @@ def test_criterion_08_simulation_sandwich():
         # right-invariance, measured here through the chart itself
         picks = np.linspace(0, len(angles) - 1, min(15, len(angles))).astype(int)
         for s in picks:
-            gate = result.gate_sequence.gates[s]
-            rho = chart_segment_rho(identity(n), Unitary(n, gate.matrix()))
-            rho_worst = max(rho_worst, abs(rho - abs(gate.angle)))
+            gate = gate_product(GateSequence(n, sequence.gates[s:s + 1], angles[s:s + 1], sequence.delta))
+            rho = chart_segment_rho(identity(n), gate)
+            rho_worst = max(rho_worst, abs(rho - abs(angles[s])))
 
     ok = sandwich_ok and refinement_worst <= 1e-10 and rho_worst < 1e-12
     _line(8, ok, f"20 schedules pass, refinement off by {refinement_worst:.2e}, "

@@ -8,10 +8,8 @@ from circuit_geometry import (
     CoeffVector,
     DomainError,
     EvaluationError,
-    Gate,
     GateSequence,
     MetricConfig,
-    PauliString,
     PenaltyNorm,
     Schedule,
     ScalingReport,
@@ -239,9 +237,9 @@ def test_sim_sandwich_generic_schedule_passes():
 
 def test_sim_sandwich_flags_fabricated_length():
     config = MetricConfig(1, 2.0)
-    sequence = GateSequence(1, (Gate(PauliString("X"), 0.125),), 0.5)
+    sequence = GateSequence(1, [0], [0.125], 0.5)  # position 0 is X
     endpoint = gate_product(sequence)
-    result = SimulationResult(sequence, endpoint, 1, 99.0, 0.0, 0.125, 0.125)
+    result = SimulationResult(sequence, endpoint, 99.0, 0.0, 0.125, 0.125)
     report = check_sim_sandwich(result, config)
     assert not report.passed
     assert report.observed == 99.0

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, report shape, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -12,9 +13,18 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circuit_geometry import cli
+from circuit_geometry import (
+    cli,
+    gate_product,
+    load_gates,
+    load_schedule,
+    phase_aligned_frobenius,
+    schedule_endpoint,
+)
 from circuit_geometry.cli import main
 from util import chain_schedule, random_traceless_hermitian, subprocess_env
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
 @pytest.fixture
@@ -169,6 +179,22 @@ def test_simulate_writes_gates(runner, tmp_path):
     gates = _report(gates_out)
     assert len(gates["gates"]) == 16
     assert gates["delta"] == 0.25
+
+
+def test_gates_file_reproduces_the_reported_endpoint_error(runner, tmp_path):
+    # the writer, the reader and the gate product of the columnar sequence, end to end
+    schedule = os.path.join(GOLDEN_INPUTS, "schedule3.json")
+    out = str(tmp_path / "sim.json")
+    gates_out = str(tmp_path / "gates.json")
+    result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "0.25",
+                                  "--out", out, "--gates-out", gates_out])
+    assert result.exit_code == 0, result.output
+    report = _report(out)["results"]
+    sequence = load_gates(gates_out)
+    assert sequence.gates.size == report["gate_count"]
+    target = schedule_endpoint(load_schedule(schedule)).matrix
+    error = phase_aligned_frobenius(gate_product(sequence).matrix, target) / 2 ** (sequence.n / 2)
+    assert float(error) == report["endpoint_error"]
 
 
 def test_simulate_auto_delta(runner, tmp_path):

@@ -155,8 +155,8 @@ def test_gates_round_trip(tmp_path):
     loaded = load_gates(path)
     assert loaded.n == sequence.n
     assert loaded.delta == sequence.delta
-    assert [str(g.string) for g in loaded.gates] == [str(g.string) for g in sequence.gates]
-    assert np.array_equal(loaded.angles(), sequence.angles())
+    assert np.array_equal(loaded.gates, sequence.gates)
+    assert np.array_equal(loaded.angles, sequence.angles)
     assert np.array_equal(gate_product(loaded).matrix, gate_product(sequence).matrix)
 
 
@@ -169,10 +169,26 @@ def test_gates_from_dict_errors():
         gates_from_dict({"n": 1, "delta": 0.1, "gates": [{"pauli": "X"}]}, "f")
     with pytest.raises(ValidationError, match="'angle' must be a number"):
         gates_from_dict({"n": 1, "delta": 0.1, "gates": [{"pauli": "X", "angle": "x"}]}, "f")
-    # weight and qubit constraints come from the sequence itself
-    with pytest.raises(ValidationError):
+    # weight and angle constraints come from the sequence itself
+    with pytest.raises(ValidationError, match="gate 0 .*weight above two"):
         gates_from_dict({"n": 3, "delta": 0.1,
                          "gates": [{"pauli": "XXX", "angle": 0.1}]}, "f")
+
+
+@pytest.mark.parametrize("word", ["II", "I", "XXX", "XQ", "", 3, None])
+def test_gates_from_dict_refuses_a_word_that_is_not_a_gate(word):
+    # the identity word once loaded and then failed inside the gate product
+    payload = {"n": 2, "delta": 0.1, "gates": [{"pauli": "XZ", "angle": 0.1}, {"pauli": word, "angle": 0.1}]}
+    with pytest.raises(ValidationError, match="f: gate 1: 'pauli' must be a non-identity word of 2 letters"):
+        gates_from_dict(payload, "f")
+
+
+def test_gates_reader_refuses_a_nan_angle(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 1, "delta": 0.1, "gates": [{"pauli": "X", "angle": 0.1}, '
+                    '{"pauli": "Z", "angle": NaN}]}')
+    with pytest.raises(ValidationError, match="gate 1 .*non-finite angle"):
+        load_gates(str(path))
 
 
 def test_readers_reject_integers_too_large_for_a_float():

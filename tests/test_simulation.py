@@ -9,13 +9,15 @@ from circuit_geometry import (
     CoeffVector,
     CoefficientBoundError,
     DomainError,
-    Gate,
     GateSequence,
     MetricConfig,
+    OptimizerSettings,
     PauliString,
     Schedule,
     SimulationResult,
+    Unitary,
     ValidationError,
+    distance_upper,
     enumerate_basis,
     gate_product,
     identity,
@@ -28,20 +30,30 @@ from circuit_geometry import (
     synthesize_gates,
     unitary_exp,
     weight_vector,
+    word_actions,
 )
+from circuit_geometry import simulation
 from circuit_geometry.io import load_schedule, schedule_from_dict
-from circuit_geometry.simulation import _synthesize, slice_edges
+from circuit_geometry.simulation import _rotate, _synthesize, slice_edges
 from util import chain_schedule, dense_gate_product
 
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
+def _position(n, word):
+    return [str(s) for s in enumerate_basis(n)].index(word)
+
+
 def _coeffs(n, words):
     values = np.zeros(4**n - 1)
-    index = {str(s): i for i, s in enumerate(enumerate_basis(n))}
     for word, value in words.items():
-        values[index[word]] = value
+        values[_position(n, word)] = value
     return CoeffVector(n, values)
+
+
+def _sequence(n, pairs, delta=0.5):
+    """Gate sequence from ``(word, angle)`` pairs in application order."""
+    return GateSequence(n, [_position(n, word) for word, _ in pairs], [a for _, a in pairs], delta)
 
 
 XI_ZZ = _coeffs(2, {"XI": 0.8, "ZZ": 0.6})
@@ -160,25 +172,51 @@ def test_project_schedule_rows():
 
 
 def test_gate_matrix_oracle():
-    # cos(a) I - i sin(a) sigma, bit for bit, for every word at n = 1..4
+    # a one-gate product is cos(a) I - i sin(a) sigma, bit for bit, for every
+    # word at n = 1..4; words above weight two, which no sequence holds, go
+    # through the rotation helper that gate_product applies
     for n in (1, 2, 3, 4):
         eye = np.eye(2**n)
-        for word in enumerate_basis(n):
+        source, phase = word_actions(n)
+        for k, word in enumerate(enumerate_basis(n)):
             sigma = word.matrix()
             for angle in (0.3, -1.1, 1e-3, 2.5):
                 want = np.cos(angle) * eye - 1j * np.sin(angle) * sigma
-                assert np.array_equal(Gate(word, angle).matrix(), want), (str(word), angle)
+                if word.weight <= 2:
+                    got = gate_product(GateSequence(n, [k], [angle], 0.5)).matrix
+                else:
+                    state = np.eye(2**n, dtype=complex)
+                    got = _rotate(state, angle, source[k], phase[k], np.empty_like(state))
+                assert np.array_equal(got, want), (str(word), angle)
 
 
 def test_gate_sequence_validation():
+    with pytest.raises(ValidationError, match="gate 1 .*weight above two"):
+        GateSequence(3, [0, _position(3, "XXX")], [0.1, 0.1], 0.1)
+    with pytest.raises(ValidationError, match="gate 0 .*outside 0..14"):
+        GateSequence(2, [15], [0.1], 0.1)
+    with pytest.raises(ValidationError, match="outside"):
+        GateSequence(2, [-1], [0.1], 0.1)
+    with pytest.raises(ValidationError, match="one length"):
+        GateSequence(2, [0, 1], [0.1], 0.1)
+    with pytest.raises(ValidationError, match="one length"):
+        GateSequence(2, [[0, 1]], [[0.1, 0.2]], 0.1)
+    with pytest.raises(ValidationError, match="gate 1 .*non-finite angle"):
+        GateSequence(2, [0, 1], [0.1, np.nan], 0.1)
+    with pytest.raises(ValidationError, match="integers"):
+        GateSequence(2, [0.0], [0.1], 0.1)
     with pytest.raises(ValidationError):
-        GateSequence(3, (Gate(PauliString("XXX"), 0.1),), 0.1)
-    with pytest.raises(ValidationError):
-        GateSequence(2, (Gate(PauliString("X"), 0.1),), 0.1)
-    with pytest.raises(ValidationError):
-        GateSequence(2, (), 0.0)
-    seq = GateSequence(2, (Gate(PauliString("XZ"), 0.01),), 0.1)
+        GateSequence(2, [], [], 0.0)
+    seq = GateSequence(2, [_position(2, "XZ")], [0.01], 0.1)
     assert seq.substep == pytest.approx(0.01)
+    # the columns are read-only copies of the input
+    words = np.array([0, 1])
+    seq = GateSequence(2, words, [0.1, 0.2], 0.1)
+    words[0] = 5
+    assert seq.gates.tolist() == [0, 1]
+    for column in (seq.gates, seq.angles):
+        with pytest.raises(ValueError):
+            column[0] = 1
 
 
 def test_synthesize_counts_and_angles():
@@ -186,11 +224,11 @@ def test_synthesize_counts_and_angles():
     means = slice_mean(Schedule.constant(XI_ZZ, 1.0), 0.2)
     seq = synthesize_gates(means, 0.2, cfg)
     # 5 slices x 5 substeps x 2 nonzero terms
-    assert len(seq.gates) == 50
-    words = [str(g.string) for g in seq.gates[:2]]
+    assert seq.gates.size == 50
+    words = [str(enumerate_basis(2)[k]) for k in seq.gates[:2]]
     assert words == ["XI", "ZZ"]  # canonical order within a substep
-    assert seq.gates[0].angle == 0.8 * 0.2 * 0.2
-    assert seq.gates[1].angle == 0.6 * 0.2 * 0.2
+    assert seq.angles[0] == 0.8 * 0.2 * 0.2
+    assert seq.angles[1] == 0.6 * 0.2 * 0.2
 
 
 def test_synthesize_non_integral_substeps():
@@ -226,11 +264,11 @@ def test_synthesize_second_order_flag():
     means = slice_mean(Schedule.constant(XI_ZZ, 0.2), 0.2)
     first = synthesize_gates(means, 0.2, cfg, order=1)
     second = synthesize_gates(means, 0.2, cfg, order=2)
-    assert len(second.gates) == 2 * len(first.gates)
+    assert second.gates.size == 2 * first.gates.size
     # mirrored halves: angles are halved, order reversed in the second half
-    assert second.gates[0].angle == first.gates[0].angle / 2.0
-    assert str(second.gates[0].string) == str(second.gates[3].string)
-    assert str(second.gates[1].string) == str(second.gates[2].string)
+    assert second.angles[0] == first.angles[0] / 2.0
+    assert second.gates[0] == second.gates[3]
+    assert second.gates[1] == second.gates[2]
     # second order beats first order on the same slice
     exact = unitary_exp(reconstruct(means[0]), 0.2)
     err1 = np.linalg.norm(gate_product(first).matrix - exact)
@@ -251,43 +289,36 @@ def test_synthesize_rejects_large_coefficients():
 
 
 def test_gate_product_oracle():
-    seq = GateSequence(1, (Gate(PauliString("X"), 0.4),), 0.5)
+    seq = _sequence(1, [("X", 0.4)])
     want = unitary_exp(PauliString("X").matrix(), 0.4)
     assert np.max(np.abs(gate_product(seq).matrix - want)) < 1e-14
-    # both share one rotation formula, so a one-gate product is the gate itself
-    for word in ("X", "Y", "Z"):
-        gate = Gate(PauliString(word), -0.7)
-        single = gate_product(GateSequence(1, (gate,), 0.5)).matrix
-        assert np.array_equal(single, gate.matrix())
 
 
 def test_gate_product_ordering():
-    gx = Gate(PauliString("X"), 0.9)
-    gz = Gate(PauliString("Z"), 0.8)
-    seq = GateSequence(1, (gx, gz), 0.5)
-    want = gz.matrix() @ gx.matrix()
+    seq = _sequence(1, [("X", 0.9), ("Z", 0.8)])
+    gx, gz = (gate_product(_sequence(1, [pair])).matrix for pair in (("X", 0.9), ("Z", 0.8)))
+    want = gz @ gx
     assert np.max(np.abs(gate_product(seq).matrix - want)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gate_product_matches_dense_loop_bit_for_bit(n):
     rng = np.random.default_rng(40 + n)
-    local = [word for word in enumerate_basis(n) if word.weight <= 2]
-    gates = tuple(Gate(local[i], float(a)) for i, a in
-                  zip(rng.integers(len(local), size=400), rng.uniform(-0.05, 0.05, size=400)))
-    sequence = GateSequence(n, gates, 0.1)
+    local = np.flatnonzero(weight_vector(n) <= 2)
+    gates = local[rng.integers(len(local), size=400)]
+    sequence = GateSequence(n, gates, rng.uniform(-0.05, 0.05, size=400), 0.1)
     assert np.array_equal(gate_product(sequence).matrix, dense_gate_product(sequence))
 
 
 def test_gate_product_matches_dense_loop_on_a_six_qubit_chain():
     schedule = schedule_from_dict(chain_schedule(np.random.default_rng(11), 6, 0.5))
     sequence = _synthesize(schedule, MetricConfig(6, 64.0), 0.25)
-    assert len(sequence.gates) == 2 * 4 * 27
+    assert sequence.gates.size == 2 * 4 * 27
     assert np.array_equal(gate_product(sequence).matrix, dense_gate_product(sequence))
 
 
 def test_gate_product_empty():
-    assert np.array_equal(gate_product(GateSequence(2, (), 0.1)).matrix, np.eye(4))
+    assert np.array_equal(gate_product(GateSequence(2, [], [], 0.1)).matrix, np.eye(4))
 
 
 def test_schedule_endpoint_constant_oracle():
@@ -304,18 +335,53 @@ def test_schedule_endpoint_piecewise_product():
     assert np.max(np.abs(schedule_endpoint(sched).matrix - want)) < 1e-12
 
 
+def _witness(n, legs):
+    rng = np.random.default_rng(9)
+    target = unitary_exp(reconstruct(CoeffVector(n, rng.uniform(-0.2, 0.2, size=4**n - 1))), 1.0)
+    estimate = distance_upper(Unitary(n, target), MetricConfig(n, 4.0), OptimizerSettings(segments=legs))
+    return estimate.witness
+
+
+def _per_leg_endpoint(schedule):
+    state = np.eye(2**schedule.n, dtype=complex)
+    for row, tau in schedule.segments:
+        state = unitary_exp(reconstruct(CoeffVector(schedule.n, row)), tau) @ state
+    return state
+
+
+def test_schedule_endpoint_diagonalises_equal_legs_once(monkeypatch):
+    witness = _witness(3, 8)
+    assert len(witness.segments) == 8
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return unitary_exp(*args)
+
+    monkeypatch.setattr(simulation, "unitary_exp", counting)
+    schedule_endpoint(witness)
+    assert len(calls) == 1
+
+
+def test_schedule_endpoint_matches_a_per_leg_loop_bit_for_bit():
+    witness = _witness(2, 8)
+    assert np.array_equal(schedule_endpoint(witness).matrix, _per_leg_endpoint(witness))
+    # repeated and distinct legs interleaved: equal rows with another tau are new legs
+    a, b = _coeffs(2, {"XI": 0.4, "ZZ": 0.3}).values, _coeffs(2, {"YX": -0.7}).values
+    mixed = Schedule.from_segments(2, [a, a, b, b, a, a], [0.25, 0.25, 0.25, 0.5, 0.5, 0.5])
+    assert np.array_equal(schedule_endpoint(mixed).matrix, _per_leg_endpoint(mixed))
+
+
 def test_result_validation():
-    seq = GateSequence(1, (Gate(PauliString("X"), 0.1),), 0.5)
+    seq = _sequence(1, [("X", 0.1)])
     point = gate_product(seq)
     with pytest.raises(ValidationError):
-        SimulationResult(seq, point, 2, 0.1, 0.0, 0.1, 0.1)
+        SimulationResult(seq, point, 0.1, 0.0, 0.2, 0.1)
     with pytest.raises(ValidationError):
-        SimulationResult(seq, point, 1, 0.1, 0.0, 0.2, 0.1)
-    with pytest.raises(ValidationError):
-        SimulationResult(seq, point, 1, 0.1, -1.0, 0.1, 0.1)
+        SimulationResult(seq, point, 0.1, -1.0, 0.1, 0.1)
     # out-of-bounds lengths stay constructible: the sandwich checker is
     # the component that must flag them
-    SimulationResult(seq, point, 1, 99.0, 0.0, 0.1, 0.1)
+    assert SimulationResult(seq, point, 99.0, 0.0, 0.1, 0.1).gate_count == 1
 
 
 def test_simulate_accounting():
@@ -323,7 +389,7 @@ def test_simulate_accounting():
     sched = Schedule.constant(XI_ZZ, 1.0)
     result = simulate(sched, cfg, 0.1)
     assert result.gate_count == 200
-    angles = np.abs(result.gate_sequence.angles())
+    angles = np.abs(result.gate_sequence.angles)
     assert result.synthesized_length == np.sum(angles)
     assert result.rho_inf == np.min(angles)
     assert result.rho_sup == np.max(angles)
@@ -341,7 +407,7 @@ def test_simulate_projs_heavy_directions():
     cfg = MetricConfig(3, 8.0)
     y = _coeffs(3, {"XII": 0.5, "XXX": 0.5})
     result = simulate(Schedule.constant(y, 0.5), cfg, 0.25)
-    assert all(g.string.weight <= 2 for g in result.gate_sequence.gates)
+    assert np.all(weight_vector(3)[result.gate_sequence.gates] <= 2)
     # the projected evolution cannot track the weight-3 part
     assert result.endpoint_error > 1e-3
 

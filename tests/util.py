@@ -82,9 +82,10 @@ def dense_gate_product(sequence):
     row), so this rounds as the rotation formula does and not as a
     kernel's fused multiply-adds do.
     """
+    basis = enumerate_basis(sequence.n)
     state = np.eye(2**sequence.n, dtype=complex)
-    for gate in sequence.gates:
-        state = np.cos(gate.angle) * state - 1j * np.sin(gate.angle) * (gate.string.matrix() @ state)
+    for k, angle in zip(sequence.gates, sequence.angles):
+        state = np.cos(angle) * state - 1j * np.sin(angle) * (basis[k].matrix() @ state)
     return state
 
 
