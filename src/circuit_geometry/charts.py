@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchCutError, DomainError, ValidationError
 from .pauli import CoeffVector, _check_qubit_count, decompose, reconstruct
@@ -131,6 +130,10 @@ def log_coords(x: Unitary, base: Unitary) -> CoeffVector:
         ``ROUNDTRIP_TOL`` (a global-phase obstruction: the traceful part
         removed was not an integer multiple of a representable phase).
     """
+    # imported here, not at the top: scipy is most of the package's import
+    # time, and this is its one use, so commands without a logarithm skip it
+    import scipy.linalg
+
     if x.n != base.n:
         raise DomainError(f"point qubit count {x.n} does not match base {base.n}")
     dim = 2**x.n

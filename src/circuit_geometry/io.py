@@ -143,12 +143,15 @@ def gates_to_dict(sequence: GateSequence) -> dict:
 
 
 def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
-    """Parse the gates format; each word must be a non-identity word on ``n`` qubits."""
+    """Parse the gates format: ``delta`` positive and finite, each word a
+    non-identity word of weight at most two on ``n`` qubits, each angle finite.
+    Every refusal starts with ``source`` and names the gate by its letters."""
     _require(isinstance(payload, dict), f"{source}: expected a JSON object")
     for key in ("n", "delta", "gates"):
         _require(key in payload, f"{source}: missing key {key!r}")
     n = _qubits(payload["n"], source)
     delta = _number(payload["delta"], f"{source}: 'delta'")
+    _require(np.isfinite(delta) and delta > 0, f"{source}: 'delta' must be positive and finite, got {delta}")
     entries = payload["gates"]
     _require(isinstance(entries, list), f"{source}: 'gates' must be a list")
     positions = _word_positions(n)
@@ -161,8 +164,13 @@ def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
         word = entry["pauli"]
         _require(isinstance(word, str) and word in positions,
                  f"{where}: 'pauli' must be a non-identity word of {n} letters from 'IXYZ', got {word!r}")
+        angle = _number(entry["angle"], f"{where}: 'angle'")
+        # GateSequence refuses these too, but by canonical position and without the file
+        what = f"{where} ({word}, angle {angle}) has a"
+        _require(len(word) - word.count("I") <= 2, f"{what} word of weight above two")
+        _require(np.isfinite(angle), f"{what} non-finite angle")
         gates.append(positions[word])
-        angles.append(_number(entry["angle"], f"{where}: 'angle'"))
+        angles.append(angle)
     return GateSequence(n, gates, angles, delta)
 
 

@@ -547,9 +547,10 @@ def test_n6_runs_fit_under_memory_cap(tmp_path, command):
 
 
 #: Address-space cap under which n = 6 ``decompose`` and ``simulate`` run:
-#: the interpreter with numpy and scipy loaded, a 64 x 64 matrix and the
-#: word tables (a few MB); a dense stack of the 4095 basis words (268 MB)
-#: does not fit.
+#: the interpreter with numpy loaded (neither command takes a chart
+#: logarithm, so scipy stays unloaded), a 64 x 64 matrix and the word
+#: tables (a few MB); a dense stack of the 4095 basis words (268 MB) does
+#: not fit.
 N6_KERNEL_CAP = 320 << 20
 
 

@@ -169,7 +169,6 @@ def test_gates_from_dict_errors():
         gates_from_dict({"n": 1, "delta": 0.1, "gates": [{"pauli": "X"}]}, "f")
     with pytest.raises(ValidationError, match="'angle' must be a number"):
         gates_from_dict({"n": 1, "delta": 0.1, "gates": [{"pauli": "X", "angle": "x"}]}, "f")
-    # weight and angle constraints come from the sequence itself
     with pytest.raises(ValidationError, match="gate 0 .*weight above two"):
         gates_from_dict({"n": 3, "delta": 0.1,
                          "gates": [{"pauli": "XXX", "angle": 0.1}]}, "f")
@@ -189,6 +188,28 @@ def test_gates_reader_refuses_a_nan_angle(tmp_path):
                     '{"pauli": "Z", "angle": NaN}]}')
     with pytest.raises(ValidationError, match="gate 1 .*non-finite angle"):
         load_gates(str(path))
+
+
+def test_gates_reader_names_the_file_and_the_letters_of_a_weight_three_word():
+    payload = {"n": 3, "delta": 0.1, "gates": [{"pauli": "XXI", "angle": 0.1}, {"pauli": "XYZ", "angle": 0.2}]}
+    with pytest.raises(ValidationError) as caught:
+        gates_from_dict(payload, "f.json")
+    assert str(caught.value) == "f.json: gate 1 (XYZ, angle 0.2) has a word of weight above two"
+
+
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+def test_gates_reader_names_the_file_for_a_non_finite_angle(angle):
+    payload = {"n": 2, "delta": 0.1, "gates": [{"pauli": "ZI", "angle": angle}]}
+    with pytest.raises(ValidationError) as caught:
+        gates_from_dict(payload, "f.json")
+    assert str(caught.value) == f"f.json: gate 0 (ZI, angle {angle}) has a non-finite angle"
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan"), float("inf")])
+def test_gates_reader_names_the_file_for_a_bad_delta(delta):
+    with pytest.raises(ValidationError) as caught:
+        gates_from_dict({"n": 1, "delta": delta, "gates": []}, "f.json")
+    assert str(caught.value) == f"f.json: 'delta' must be positive and finite, got {delta}"
 
 
 def test_readers_reject_integers_too_large_for_a_float():
