@@ -12,12 +12,12 @@ from circuit_geometry import (
     default_penalty,
     distortion_constants,
     estimate_distortion,
-    minkowski_norm,
 )
 
 
 def main():
     config = MetricConfig(3, 4.0)
+    norm = PenaltyNorm(config)
     print(f"n = {config.n}, penalty p = {config.p} "
           f"(default for n = 3 would be {default_penalty(3)})")
     print(f"weight-<=2 block size k = {config.k} of {4**config.n - 1} directions")
@@ -27,19 +27,19 @@ def main():
     heavy = CoeffVector.from_words(3, {"XXX": 0.6})
     mixed = CoeffVector.from_words(3, {"XII": 0.6, "XXX": 0.8})
     for name, y in (("weight-1", light), ("weight-3", heavy), ("mixed", mixed)):
-        print(f"  {name:9s} |y| = {y.norm:.4f}   F_p(y) = {minkowski_norm(y, config):.4f}")
+        print(f"  {name:9s} |y| = {y.norm:.4f}   F_p(y) = {norm(y):.4f}")
 
     print("\n== sandwich |y| <= F_p(y) <= p|y| on 10000 random directions ==")
     rng = np.random.default_rng(3)
     draws = rng.standard_normal((10000, 63))
-    norms = minkowski_norm(draws, config)
+    norms = norm(draws)
     lengths = np.sqrt(np.sum(np.square(draws), axis=-1))
     print(f"  min ratio {np.min(norms / lengths):.4f}, "
           f"max ratio {np.max(norms / lengths):.4f}, "
           f"violations: {int(np.sum((norms < lengths) | (norms > 4 * lengths)))}")
 
     print("\n== Minkowski-norm property check ==")
-    report = check_finsler_properties(PenaltyNorm(config), 3, rng.standard_normal((50, 63)))
+    report = check_finsler_properties(norm, 3, rng.standard_normal((50, 63)))
     print(f"  homogeneity pass: {report.homogeneity_pass} "
           f"(worst error {report.max_homogeneity_error:.2e})")
     print(f"  smoothness pass:  {report.smoothness_pass}")
@@ -50,7 +50,7 @@ def main():
     exact = distortion_constants(config)
     print(f"  exact  (m, M) = {exact}")
     for samples in (1000, 10000, 100000):
-        low, high = estimate_distortion(PenaltyNorm(config), 3, samples, seed=0)
+        low, high = estimate_distortion(norm, 3, samples, seed=0)
         print(f"  {samples:6d} samples -> ({low:.4f}, {high:.4f})")
 
 

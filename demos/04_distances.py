@@ -7,7 +7,6 @@ import numpy as np
 from circuit_geometry import (
     CoeffVector,
     MetricConfig,
-    OptimizerSettings,
     Unitary,
     distance_lower,
     distance_upper,
@@ -18,22 +17,22 @@ from circuit_geometry import (
 )
 
 
-def bracket(label, target, config, settings):
+def bracket(label, target, config, segments):
     lower = distance_lower(target, config)
-    estimate = distance_upper(target, config, settings)
+    estimate = distance_upper(target, config, segments)
     print(f"{label}: lower {lower:.6f}  upper {estimate.upper:.6f}  "
           f"(witness endpoint error {estimate.stats.endpoint_error:.1e})")
     return estimate
 
 
 def main():
-    settings = OptimizerSettings(segments=4)
+    segments = 4
 
     print("== single-axis rotation: both bounds pinch the angle ==")
     theta = 0.7
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     target = Unitary(1, unitary_exp(x, theta))
-    estimate = bracket(f"exp(-i {theta} X)", target, MetricConfig(1, 2.0), settings)
+    estimate = bracket(f"exp(-i {theta} X)", target, MetricConfig(1, 2.0), segments)
     witness_len = path_length(estimate.witness, MetricConfig(1, 2.0))
     print(f"   witness has {len(estimate.witness.segments)} segments, "
           f"length {witness_len:.6f}")
@@ -43,15 +42,14 @@ def main():
     values = rng.normal(size=15)
     y = CoeffVector(2, 0.8 * values / np.linalg.norm(values))
     target = exp_coords(y, identity(2))
-    bracket("random n=2 point", target, MetricConfig(2, 4.0), settings)
+    bracket("random n=2 point", target, MetricConfig(2, 4.0), segments)
 
     print("\n== the penalty reprices a weight-3 rotation ==")
     heavy = exp_coords(CoeffVector.from_words(3, {"XXX": 0.4}), identity(3))
-    one_leg = OptimizerSettings(segments=1)
     for p in (1.0, 4.0, 8.0):
         config = MetricConfig(3, p)
         lower = distance_lower(heavy, config)
-        estimate = distance_upper(heavy, config, one_leg)
+        estimate = distance_upper(heavy, config, 1)
         print(f"  p = {p:3.0f}: lower {lower:.4f}, upper {estimate.upper:.4f} "
               f"(the straight path costs p * 0.4 = {p * 0.4:.1f})")
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """From control schedule to gate list: slicing, synthesis, endpoint
-accuracy against the dense propagator, and the second-order variant."""
+accuracy against the dense propagator."""
 
 import numpy as np
 
@@ -43,13 +43,10 @@ def main():
     print("\n== per-slice synthesis against the exact slice propagator ==")
     for delta in (0.2, 0.1, 0.05):
         mean = slice_mean(schedule, delta)[0]
-        seq1 = synthesize_gates([mean], delta, config, order=1)
-        seq2 = synthesize_gates([mean], delta, config, order=2)
+        sequence = synthesize_gates([mean], delta, config)
         exact = unitary_exp(reconstruct(mean), delta)
-        err1 = np.linalg.norm(gate_product(seq1).matrix - exact)
-        err2 = np.linalg.norm(gate_product(seq2).matrix - exact)
-        print(f"  delta {delta:5.2f}: order-1 error {err1:.3e}, "
-              f"order-2 error {err2:.3e} ({seq1.gates.size} vs {seq2.gates.size} gates)")
+        error = np.linalg.norm(gate_product(sequence).matrix - exact)
+        print(f"  delta {delta:5.2f}: error {error:.3e} ({sequence.gates.size} gates)")
 
     print("\n== a time-dependent schedule ==")
     rng = np.random.default_rng(5)

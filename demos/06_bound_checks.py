@@ -8,6 +8,7 @@ import numpy as np
 from circuit_geometry import (
     CoeffVector,
     MetricConfig,
+    PenaltyNorm,
     Schedule,
     check_segment_distortion,
     check_sim_sandwich,
@@ -20,7 +21,6 @@ from circuit_geometry import (
     gate_count_scaling,
     identity,
     log_coords,
-    minkowski_norm,
     simulate,
 )
 
@@ -53,7 +53,7 @@ def main():
     for _ in range(steps):
         points.append(exp_coords(stride, points[-1]))
     rhos = [chart_segment_rho(a, b) for a, b in zip(points, points[1:])]
-    betas = [minkowski_norm(log_coords(b, a), cfg1) for a, b in zip(points, points[1:])]
+    betas = [PenaltyNorm(cfg1)(log_coords(b, a)) for a, b in zip(points, points[1:])]
     d = distance_lower(points[-1], cfg1)
     m_low, m_high = distortion_constants(cfg1)
     chart = gate_count_bounds_chart(d, min(rhos), max(rhos), m_low, m_high)

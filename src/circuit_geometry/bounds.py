@@ -14,7 +14,7 @@ import numpy as np
 
 from .charts import Unitary, log_coords
 from .errors import DomainError, EvaluationError, ValidationError
-from .metric import MetricConfig, _evaluate, minkowski_norm
+from .metric import MetricConfig, PenaltyNorm, _evaluate
 from .seeding import substream
 from .simulation import Schedule, SimulationResult, _synthesize
 
@@ -135,7 +135,7 @@ def check_segment_distortion(x_from: Unitary, x_to: Unitary, config: MetricConfi
         raise DomainError(f"segment qubit count {x_from.n} does not match config {config.n}")
     y = log_coords(x_to, x_from)
     euclidean = y.norm
-    observed = minkowski_norm(y, config)
+    observed = PenaltyNorm(config)(y)
     return BoundReport("segment-distortion", euclidean, observed, config.p * euclidean)
 
 

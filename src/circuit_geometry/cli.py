@@ -45,7 +45,7 @@ from .io import (
     write_report,
 )
 from .metric import MetricConfig, PenaltyNorm, default_penalty, distortion_constants
-from .paths import ENDPOINT_TOL, OptimizerSettings, distance_upper
+from .paths import ENDPOINT_TOL, distance_upper
 from .pauli import CoeffVector
 from .pauli import decompose as pauli_decompose
 from .simulation import schedule_endpoint
@@ -174,7 +174,7 @@ def _bracket(unitary: str, p: float | None, segments: int):
     """Bracket the distance to the target in ``unitary``: ``(metric, estimate, results, reports)``."""
     target = load_unitary(unitary)
     metric = _metric(target.n, p)
-    estimate = distance_upper(target, metric, OptimizerSettings(segments=segments))
+    estimate = distance_upper(target, metric, segments)
     results = {
         "lower": estimate.lower,
         "upper": estimate.upper,
@@ -237,8 +237,7 @@ def simulate(schedule, p, delta, segments, gates_out, **_):
     loaded = load_schedule(schedule)
     metric = _metric(loaded.n, p)
     if delta == "auto":
-        settings = OptimizerSettings(segments=segments)
-        upper = distance_upper(schedule_endpoint(loaded), metric, settings).upper
+        upper = distance_upper(schedule_endpoint(loaded), metric, segments).upper
         width = min(1.0 / (metric.n**2 * upper), loaded.duration) if upper > 0 else loaded.duration
     else:
         try:

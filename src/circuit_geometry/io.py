@@ -66,6 +66,7 @@ def _as_complex(payload: dict, path: str) -> tuple[int, np.ndarray]:
     dim = 2**n
     _require(re.shape == (dim, dim), f"{path}: 're' must be a {dim}x{dim} array, got {re.shape}")
     _require(im.shape == (dim, dim), f"{path}: 'im' must be a {dim}x{dim} array, got {im.shape}")
+    _require(np.all(np.isfinite(re)) and np.all(np.isfinite(im)), f"{path}: matrix entries must be finite")
     return n, re + 1j * im
 
 
@@ -96,7 +97,9 @@ def save_matrix(path: str, n: int, matrix: np.ndarray) -> None:
 
 
 def schedule_from_dict(payload: dict, source: str = "<schedule>") -> Schedule:
-    """Parse the schedule format into a piecewise-constant :class:`Schedule`."""
+    """Parse the schedule format: each tau positive, finite and long enough to
+    advance the running time, which stays finite, and each coefficient finite.
+    Every refusal starts with ``source`` and names the segment."""
     _require(isinstance(payload, dict), f"{source}: expected a JSON object")
     for key in ("n", "segments"):
         _require(key in payload, f"{source}: missing key {key!r}")
@@ -104,18 +107,26 @@ def schedule_from_dict(payload: dict, source: str = "<schedule>") -> Schedule:
     segments = payload["segments"]
     _require(isinstance(segments, list) and segments, f"{source}: 'segments' must be a nonempty list")
     rows = []
-    taus = []
+    times = []
+    end = 0.0
     for index, entry in enumerate(segments):
         where = f"{source}: segment {index}"
         _require(isinstance(entry, dict), f"{where}: expected an object")
         _require("tau" in entry and "y" in entry, f"{where}: needs 'tau' and 'y'")
         tau = _number(entry["tau"], f"{where}: 'tau'")
+        _require(np.isfinite(tau) and tau > 0, f"{where} duration must be positive and finite, got {tau}")
+        start, end = end, end + tau
+        _require(np.isfinite(end), f"{where} (tau {tau}) ends past the largest float, from time {start}")
+        _require(end != start, f"{where} (tau {tau}) is below the float resolution of its start time "
+                               f"{start}: it would be lost")
         mapping = entry["y"]
         _require(isinstance(mapping, dict), f"{where}: 'y' must be an object of word: coefficient")
         mapping = {word: _number(value, f"{where}: coefficient for {word!r}") for word, value in mapping.items()}
+        for word, value in mapping.items():
+            _require(np.isfinite(value), f"{where}: coefficient for {word!r} must be finite, got {value}")
         rows.append(CoeffVector.from_words(n, mapping).values)
-        taus.append(tau)
-    return Schedule.from_segments(n, rows, taus)
+        times.append(start)
+    return Schedule(n, np.array(times), np.array(rows), end)
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:

@@ -55,67 +55,37 @@ class MetricConfig:
         return partition_k(self.n)
 
 
-def penalty_weights(config: MetricConfig) -> np.ndarray:
-    """Per-coordinate weights: 1 on weight-<=2 words, p on weight->=3 words."""
-    return np.where(weight_vector(config.n) >= PENALIZED_WEIGHT, config.p, 1.0)
-
-
-def _coerce_values(y, n: int) -> np.ndarray:
-    values = y.values if isinstance(y, CoeffVector) else np.asarray(y, dtype=float)
-    if values.shape[-1] != 4**n - 1:
-        raise DomainError(
-            f"coordinate vector for n={n} must have last dimension {4**n - 1}, "
-            f"got shape {values.shape}"
-        )
-    return values
-
-
-def _weighted_norm(weights: np.ndarray, values: np.ndarray):
-    """``sqrt(sum((w * y)^2))`` over the last axis, the one penalty-norm reduction.
-
-    Every penalty-norm evaluation goes through here, so algebraically
-    equal inputs produce bit-identical outputs whichever entry point
-    computed them.
-    """
-    return np.sqrt(np.sum(np.square(weights * values), axis=-1))
-
-
-def minkowski_norm(y, config: MetricConfig):
-    """Penalty norm of ``y`` (a CoeffVector or array; batches over leading axes)."""
-    values = _coerce_values(y, config.n)
-    out = _weighted_norm(penalty_weights(config), values)
-    return float(out) if out.ndim == 0 else out
-
-
 class PenaltyNorm:
-    """Callable form of the penalty norm.
+    """The penalty norm ``F_p`` of one configuration.
 
-    Instances evaluate single coordinate vectors or batches (coordinates on
-    the last axis) and expose the coordinate partition, which samplers use
-    to stratify draws between the unit and penalty blocks.
+    Called on a :class:`CoeffVector` it returns a Python float; called on an
+    array it batches over the leading axes (coordinates on the last axis).
+    It also exposes the coordinate partition, which samplers use to stratify
+    draws between the unit and penalty blocks.
     """
 
     def __init__(self, config: MetricConfig):
         self.config = config
-        self.weights = penalty_weights(config)
-        self.weights.flags.writeable = False
-        mask = weight_vector(config.n) >= PENALIZED_WEIGHT
-        mask = mask.copy()
-        mask.flags.writeable = False
         #: Boolean mask of penalized coordinates in canonical order.
-        self.penalized_mask = mask
+        self.penalized_mask = weight_vector(config.n) >= PENALIZED_WEIGHT
+        #: Per-coordinate weights: 1 on weight-<=2 words, p on weight->=3 words.
+        self.weights = np.where(self.penalized_mask, config.p, 1.0)
+        self.penalized_mask.flags.writeable = False
+        self.weights.flags.writeable = False
 
     @property
     def dimension(self) -> int:
         return self.weights.size
 
-    def __call__(self, values):
-        values = np.asarray(values, dtype=float)
+    def __call__(self, y):
+        """``sqrt(sum((w * y)^2))`` over the last axis of ``y``."""
+        values = y.values if isinstance(y, CoeffVector) else np.asarray(y, dtype=float)
         if values.shape[-1] != self.dimension:
             raise DomainError(
                 f"expected last dimension {self.dimension}, got shape {values.shape}"
             )
-        return _weighted_norm(self.weights, values)
+        out = np.sqrt(np.sum(np.square(self.weights * values), axis=-1))
+        return float(out) if isinstance(y, CoeffVector) else out
 
     def __repr__(self) -> str:
         return f"PenaltyNorm(n={self.config.n}, p={self.config.p})"

@@ -11,13 +11,14 @@ quant-ph/0603161).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .charts import Unitary, identity, log_coords, phase_aligned_frobenius
 from .errors import BranchCutError, DomainError, InfeasibleError, ValidationError
-from .metric import MetricConfig, _weighted_norm, distortion_constants, penalty_weights
+from .metric import MetricConfig, PenaltyNorm, distortion_constants
 from .simulation import MAX_WITNESS_COEFFICIENTS, Schedule, schedule_endpoint
 
 #: Phase-aligned Frobenius distance at which a schedule counts as reaching
@@ -37,8 +38,8 @@ def path_length(path: Schedule, config: MetricConfig) -> float:
     """
     if path.n != config.n:
         raise DomainError(f"path qubit count {path.n} does not match config {config.n}")
-    weights = penalty_weights(config)
-    return math.fsum(_weighted_norm(weights, row) * tau for row, tau in path.segments)
+    taus = np.diff(np.append(path.times, path.duration))
+    return math.fsum(PenaltyNorm(config)(path.values) * taus)
 
 
 def distance_lower(target: Unitary, config: MetricConfig) -> float:
@@ -55,24 +56,7 @@ def distance_lower(target: Unitary, config: MetricConfig) -> float:
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    """Shape of the upper-bound witness.
-
-    ``segments`` is the number of equal legs ``(log U / segments, tau = 1)``
-    the one-parameter-subgroup witness is split into.  The split leaves the
-    length unchanged up to roundoff; it sets the legs that ``verify``
-    checks one by one.
-    """
-
-    segments: int = 8
-
-    def __post_init__(self):
-        if self.segments < 1:
-            raise ValidationError("at least one segment is required")
-
-
-@dataclass(frozen=True)
-class OptimizerStats:
+class WitnessStats:
     """Witness accounting: runs (0 for a target at the identity, else 1),
     endpoint evaluations (likewise), and the witness endpoint error."""
 
@@ -88,7 +72,7 @@ class DistanceEstimate:
     lower: float
     upper: float
     witness: Schedule
-    stats: OptimizerStats
+    stats: WitnessStats
 
     def __post_init__(self):
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
@@ -102,28 +86,28 @@ class DistanceEstimate:
             )
 
 
-def distance_upper(
-    target: Unitary, config: MetricConfig, settings: OptimizerSettings | None = None
-) -> DistanceEstimate:
+def distance_upper(target: Unitary, config: MetricConfig, segments: int = 8) -> DistanceEstimate:
     """Length of a feasible schedule reaching ``target``, plus the chart lower bound.
 
     The witness is the one-parameter subgroup through ``target``, split into
-    ``settings.segments`` legs ``y_j = log_coords(target) / segments``,
-    ``tau_j = 1``.  The returned upper value is the exact length of that
-    witness, ``F_p(log U)`` up to roundoff, so it bounds the true distance
-    from above.  Endpoints compare modulo global phase; a target within
+    ``segments`` equal legs ``y_j = log_coords(target) / segments``,
+    ``tau_j = 1``; the split sets the legs that ``verify`` checks one by one.
+    The returned upper value is the exact length of that witness,
+    ``F_p(log U)`` up to roundoff, so it bounds the true distance from above.
+    Endpoints compare modulo global phase; a target within
     ``IDENTITY_SHORTCUT`` of the identity gets the empty witness.
 
-    Raises ``DomainError``, before building it, for a witness above
-    :data:`MAX_WITNESS_COEFFICIENTS` coefficients, and ``InfeasibleError``
+    Raises ``ValidationError`` unless ``segments`` is an integer (not a bool)
+    of at least 1, ``DomainError``, before building the witness, for a witness
+    above :data:`MAX_WITNESS_COEFFICIENTS` coefficients, and ``InfeasibleError``
     when the target has no principal logarithm (branch cut or global-phase
     obstruction) or the witness endpoint misses it by more than ``ENDPOINT_TOL``.
     """
-    if settings is None:
-        settings = OptimizerSettings()
+    if isinstance(segments, bool) or not isinstance(segments, numbers.Integral) or segments < 1:
+        raise ValidationError(f"segments must be an integer of at least 1, got {segments!r}")
     if target.n != config.n:
         raise DomainError(f"target qubit count {target.n} does not match config {config.n}")
-    n_segments = settings.segments
+    n_segments = int(segments)
     coefficients = n_segments * (4**config.n - 1)
     if coefficients > MAX_WITNESS_COEFFICIENTS:
         raise DomainError(f"a witness of {n_segments} segments at n = {config.n} holds {coefficients} "
@@ -138,7 +122,7 @@ def distance_upper(
 
     empty_error = phase_aligned_frobenius(np.eye(2**config.n, dtype=complex), target.matrix)
     if empty_error <= IDENTITY_SHORTCUT:
-        stats = OptimizerStats(runs=0, evaluations=0, endpoint_error=empty_error)
+        stats = WitnessStats(runs=0, evaluations=0, endpoint_error=empty_error)
         return DistanceEstimate(lower, 0.0, Schedule.from_segments(config.n, [], []), stats)
     if subgroup is None:
         raise InfeasibleError(f"no feasible schedule found: {obstruction}")
@@ -152,5 +136,5 @@ def distance_upper(
             f"no feasible schedule found: the subgroup witness misses the target by "
             f"{error:.3e}, beyond the tolerance {ENDPOINT_TOL:.1e}"
         )
-    stats = OptimizerStats(runs=1, evaluations=1, endpoint_error=error)
+    stats = WitnessStats(runs=1, evaluations=1, endpoint_error=error)
     return DistanceEstimate(lower, path_length(witness, config), witness, stats)

@@ -262,7 +262,8 @@ def decompose(matrix: np.ndarray, n: int) -> CoeffVector:
     DomainError
         If the matrix shape does not match ``n``.
     ValidationError
-        If the matrix is not Hermitian to within ``HERMITIAN_TOL``.
+        If the matrix has a non-finite entry or is not Hermitian to within
+        ``HERMITIAN_TOL``.
     IdentityComponentError
         If the trace exceeds ``TRACE_TOL`` in magnitude.
     """
@@ -271,6 +272,9 @@ def decompose(matrix: np.ndarray, n: int) -> CoeffVector:
     dim = 2**n
     if matrix.shape != (dim, dim):
         raise DomainError(f"expected a ({dim}, {dim}) matrix for n={n}, got shape {matrix.shape}")
+    # every comparison with NaN is False: refuse it before the tolerance checks
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError("matrix has non-finite entries")
     hermitian_defect = float(np.max(np.abs(matrix - matrix.conj().T)))
     if hermitian_defect > HERMITIAN_TOL:
         raise ValidationError(f"matrix is not Hermitian: max |H - H^dagger| = {hermitian_defect:.3e}")

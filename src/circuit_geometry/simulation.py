@@ -105,16 +105,6 @@ class Schedule:
         return cls(y.n, np.zeros(1), y.values[None, :], duration)
 
     @classmethod
-    def piecewise(cls, n: int, samples, duration: float) -> "Schedule":
-        """Build from ``(time, CoeffVector-or-array)`` pairs."""
-        times = []
-        rows = []
-        for t, y in samples:
-            times.append(float(t))
-            rows.append(y.values if isinstance(y, CoeffVector) else np.asarray(y, dtype=float))
-        return cls(n, np.array(times), np.array(rows), duration)
-
-    @classmethod
     def from_segments(cls, n: int, values, taus) -> "Schedule":
         """Piecewise-constant schedule holding ``values[j]`` for ``taus[j]``.
 
@@ -201,14 +191,6 @@ def slice_mean(schedule: Schedule, delta: float) -> list[CoeffVector]:
     return means
 
 
-def project_hamiltonian(y: CoeffVector, config: MetricConfig) -> CoeffVector:
-    """Zero every weight-three-or-higher coefficient; the rest pass through unchanged."""
-    if y.n != config.n:
-        raise DomainError(f"coefficient qubit count {y.n} does not match config {config.n}")
-    kept = np.where(weight_vector(y.n) < PENALIZED_WEIGHT, y.values, 0.0)
-    return CoeffVector(y.n, kept)
-
-
 def project_schedule(schedule: Schedule, config: MetricConfig) -> Schedule:
     """Apply the weight projection to every sample row."""
     if schedule.n != config.n:
@@ -290,24 +272,18 @@ def _substeps(delta: float) -> float:
     return float(np.ceil(1.0 / delta - COUNT_GUARD))
 
 
-def synthesize_gates(
-    means, delta: float, config: MetricConfig, order: int = 1
-) -> GateSequence:
-    """Expand slice means into products of single-word rotations.
+def synthesize_gates(means, delta: float, config: MetricConfig) -> GateSequence:
+    """Expand slice means into first-order products of single-word rotations.
 
     Each slice contributes ``m = ceil(1/delta)`` substeps, which together
-    span the slice width ``delta``.  With ``order=1`` a substep emits one
-    gate ``exp(-i y_i sigma_i delta / m)`` per nonzero coefficient in
-    canonical basis order; ``order=2`` emits the
-    symmetrized product (half-angle forward then mirrored), which costs
-    twice the gates for one order better accuracy per substep.
+    span the slice width ``delta``.  A substep emits one gate
+    ``exp(-i y_i sigma_i delta / m)`` per nonzero coefficient in canonical
+    basis order.
 
     Raises ``CoefficientBoundError`` when any mean coefficient exceeds 1
     in magnitude and ``ValidationError`` when a mean has weight-three
     support (project first).
     """
-    if order not in (1, 2):
-        raise DomainError(f"order must be 1 or 2, got {order}")
     if not (np.isfinite(delta) and 0 < delta):
         raise DomainError(f"slice width must be positive and finite, got {delta}")
     substeps = _substeps(delta)
@@ -328,10 +304,6 @@ def synthesize_gates(
             raise CoefficientBoundError(worst)
         words = np.flatnonzero(mean.values)
         slice_angles = mean.values[words] * delta * fraction
-        if order == 2:
-            words = np.concatenate((words, words[::-1]))
-            half = slice_angles / 2.0
-            slice_angles = np.concatenate((half, half[::-1]))
         gates.append(np.tile(words, int(substeps)))
         angles.append(np.tile(slice_angles, int(substeps)))
     return GateSequence(config.n, np.concatenate(gates), np.concatenate(angles), delta)

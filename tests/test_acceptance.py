@@ -18,7 +18,6 @@ from circuit_geometry import (
     CoeffVector,
     GateSequence,
     MetricConfig,
-    OptimizerSettings,
     PenaltyNorm,
     Schedule,
     Unitary,
@@ -39,7 +38,6 @@ from circuit_geometry import (
     gate_product,
     identity,
     log_coords,
-    minkowski_norm,
     partition_k,
     reconstruct,
     simulate,
@@ -103,7 +101,7 @@ def test_criterion_04_norm_sandwich():
     for n, p in product((1, 2, 3), (1.0, 2.0, 8.0)):
         config = MetricConfig(n, p)
         draws = rng.standard_normal((10000, 4**n - 1))
-        norms = minkowski_norm(draws, config)
+        norms = PenaltyNorm(config)(draws)
         lengths = np.sqrt(np.sum(np.square(draws), axis=-1))
         sandwich_ok &= bool(np.all(lengths <= norms) and np.all(norms <= p * lengths))
 
@@ -164,14 +162,14 @@ def test_criterion_06_distortion_monte_carlo():
 
 def test_criterion_07_distance_consistency():
     rng = np.random.default_rng(707)
-    settings = OptimizerSettings(segments=2)
+    segments = 2
     consistent = True
     for index in range(50):
         n = 1 + index % 2
         config = MetricConfig(n, 2.0**n)
         target = exp_coords(random_coeffs(rng, n, scale=rng.uniform(0.2, 1.2)), identity(n))
         lower = distance_lower(target, config)
-        estimate = distance_upper(target, config, settings)
+        estimate = distance_upper(target, config, segments)
         consistent &= lower <= estimate.upper + 1e-6
 
     pinch_ok = True
@@ -181,7 +179,7 @@ def test_criterion_07_distance_consistency():
     for theta in (0.3, 0.7, 1.2):
         target = Unitary(1, unitary_exp(x_matrix, theta))
         lower = distance_lower(target, config)
-        estimate = distance_upper(target, config, settings)
+        estimate = distance_upper(target, config, segments)
         pinch_ok &= abs(lower - theta) < 1e-9 and estimate.upper <= theta + 1e-3
         worst_gap = max(worst_gap, estimate.upper - theta)
     ok = consistent and pinch_ok
@@ -258,7 +256,7 @@ def test_criterion_11_count_bounds_on_known_geodesic():
     for before, after in zip(points, points[1:]):
         y = log_coords(after, before)
         rhos.append(y.norm)
-        betas.append(minkowski_norm(y, config))
+        betas.append(PenaltyNorm(config)(y))
     distance = distance_lower(points[-1], config)
     m_lower, m_upper = distortion_constants(config)
 

@@ -1,0 +1,35 @@
+"""The public surface: every exported name resolves, and removed names stay removed."""
+
+import importlib
+
+import pytest
+
+import circuit_geometry
+
+#: Names deleted when each job was left with a single public entry point.
+REMOVED = {
+    "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values"],
+    "paths": ["OptimizerSettings", "OptimizerStats"],
+    "simulation": ["project_hamiltonian"],
+}
+
+
+def test_every_exported_name_resolves():
+    assert len(set(circuit_geometry.__all__)) == len(circuit_geometry.__all__)
+    for name in circuit_geometry.__all__:
+        assert getattr(circuit_geometry, name) is not None, name
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in REMOVED.items() for n in names])
+def test_removed_names_are_gone(module, name):
+    assert name not in circuit_geometry.__all__
+    assert not hasattr(circuit_geometry, name)
+    assert not hasattr(importlib.import_module(f"circuit_geometry.{module}"), name)
+    with pytest.raises(ImportError):
+        exec(f"from circuit_geometry import {name}", {})
+
+
+def test_removed_options_are_gone():
+    assert not hasattr(circuit_geometry.Schedule, "piecewise")
+    with pytest.raises(TypeError):
+        circuit_geometry.synthesize_gates([], 0.5, circuit_geometry.MetricConfig(1, 1.0), order=1)

@@ -129,6 +129,18 @@ def test_non_finite_unitary_exits_2(runner, tmp_path, entry):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("command, option", [
+    ("decompose", "--matrix"), ("distance", "--unitary"), ("verify", "--unitary"),
+])
+def test_non_finite_matrix_entry_exits_2_naming_the_file(runner, tmp_path, command, option):
+    # a NaN slips past decompose's Hermitian and trace checks; the reader refuses it first
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 1, "re": [[0, NaN], [1, 0]], "im": [[0, 0], [0, 0]]}')
+    result = runner.invoke(main, [command, option, str(path), "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {path}: matrix entries must be finite" in result.output
+
+
 def test_distance_brackets_rotation(runner, tmp_path):
     out = str(tmp_path / "d.json")
     result = runner.invoke(main, ["distance", "--unitary", _x_rotation(tmp_path),

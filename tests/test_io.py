@@ -107,6 +107,54 @@ def test_schedule_from_dict_errors():
             schedule_from_dict({"n": 1, "segments": [{"tau": 0.5, "y": {}}, {"tau": tau, "y": {}}]}, "f")
 
 
+def _schedule_file(tmp_path, segments):
+    """A schedule file written by hand: Python's json reads ``NaN`` and ``Infinity`` literals."""
+    path = tmp_path / "s.json"
+    path.write_text('{"n": 1, "segments": [' + ", ".join(segments) + "]}")
+    return str(path)
+
+
+@pytest.mark.parametrize("tau, shown", [("NaN", "nan"), ("-1", "-1.0")])
+def test_schedule_reader_names_the_file_for_a_bad_tau(tmp_path, tau, shown):
+    path = _schedule_file(tmp_path, ['{"tau": 0.5, "y": {}}', f'{{"tau": {tau}, "y": {{"X": 0.1}}}}'])
+    with pytest.raises(ValidationError) as caught:
+        load_schedule(path)
+    assert str(caught.value) == f"{path}: segment 1 duration must be positive and finite, got {shown}"
+
+
+def test_schedule_reader_names_the_file_and_the_segment_when_the_time_overflows(tmp_path):
+    path = _schedule_file(tmp_path, ['{"tau": 1e308, "y": {}}', '{"tau": 1e308, "y": {"X": 0.1}}'])
+    with pytest.raises(ValidationError) as caught:
+        load_schedule(path)
+    assert str(caught.value) == f"{path}: segment 1 (tau 1e+308) ends past the largest float, from time 1e+308"
+
+
+@pytest.mark.parametrize("value, shown", [("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan")])
+def test_schedule_reader_names_the_file_segment_and_word_of_a_non_finite_coefficient(tmp_path, value, shown):
+    path = _schedule_file(tmp_path, ['{"tau": 0.5, "y": {}}', f'{{"tau": 0.5, "y": {{"Z": 0.1, "X": {value}}}}}'])
+    with pytest.raises(ValidationError) as caught:
+        load_schedule(path)
+    assert str(caught.value) == f"{path}: segment 1: coefficient for 'X' must be finite, got {shown}"
+
+
+def test_schedule_reader_names_the_file_for_a_segment_below_the_float_resolution(tmp_path):
+    path = _schedule_file(tmp_path, ['{"tau": 1e17, "y": {}}', '{"tau": 1.0, "y": {"X": 0.1}}'])
+    with pytest.raises(ValidationError, match=r"^.*s\.json: segment 1 \(tau 1\.0\) is below the float resolution"):
+        load_schedule(path)
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_matrix_reader_names_the_file_for_a_non_finite_entry(tmp_path, part, entry):
+    rows = {"re": "[[0, 1], [1, 0]]", "im": "[[0, 0], [0, 0]]"}
+    rows[part] = f"[[0, {entry}], [1, 0]]"
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"n": 1, "re": {rows["re"]}, "im": {rows["im"]}}}')
+    with pytest.raises(ValidationError) as caught:
+        load_matrix(str(path))
+    assert str(caught.value) == f"{path}: matrix entries must be finite"
+
+
 def test_path_dict_round_trip(tmp_path):
     schedule = load_schedule(_write(tmp_path, "p.json", SCHEDULE))
     assert schedule_to_dict(schedule) == SCHEDULE

@@ -15,9 +15,7 @@ from circuit_geometry import (
     distortion_constants,
     enumerate_basis,
     half_square_hessian,
-    minkowski_norm,
     partition_k,
-    penalty_weights,
 )
 
 
@@ -38,9 +36,9 @@ def test_default_penalty():
     assert default_penalty(3) == 8.0
 
 
-def test_penalty_weights_layout():
+def test_penalty_norm_weights_layout():
     cfg = MetricConfig(3, 5.0)
-    w = penalty_weights(cfg)
+    w = PenaltyNorm(cfg).weights
     k = partition_k(3)
     assert np.all(w[:k] == 1.0)
     assert np.all(w[k:] == 5.0)
@@ -54,7 +52,7 @@ def test_norm_hand_computed():
     values[basis["XXX"]] = 0.8   # weight 3, penalized
     y = CoeffVector(3, values)
     want = np.sqrt(0.6**2 + 9.0 * 0.8**2)
-    assert minkowski_norm(y, cfg) == pytest.approx(want, abs=1e-15)
+    assert PenaltyNorm(cfg)(y) == pytest.approx(want, abs=1e-15)
 
 
 def test_norm_reduces_to_euclidean():
@@ -62,7 +60,7 @@ def test_norm_reduces_to_euclidean():
     cfg = MetricConfig(3, 1.0)
     values = rng.normal(size=63)
     same = np.sqrt(np.sum(np.square(values)))
-    assert minkowski_norm(CoeffVector(3, values), cfg) == same
+    assert PenaltyNorm(cfg)(CoeffVector(3, values)) == same
 
 
 def test_norm_saturation_low_block():
@@ -71,7 +69,7 @@ def test_norm_saturation_low_block():
     values = np.zeros(63)
     values[: cfg.k] = np.random.default_rng(1).normal(size=cfg.k)
     y = CoeffVector(3, values)
-    assert minkowski_norm(y, cfg) == y.norm
+    assert PenaltyNorm(cfg)(y) == y.norm
 
 
 def test_norm_saturation_high_block():
@@ -79,7 +77,7 @@ def test_norm_saturation_high_block():
     values = np.zeros(63)
     values[cfg.k :] = np.random.default_rng(2).normal(size=63 - cfg.k)
     y = CoeffVector(3, values)
-    assert minkowski_norm(y, cfg) == 4.0 * y.norm
+    assert PenaltyNorm(cfg)(y) == 4.0 * y.norm
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 8.0])
@@ -87,7 +85,7 @@ def test_norm_sandwich_sweep(p):
     cfg = MetricConfig(3, p)
     rng = np.random.default_rng(17)
     batch = rng.normal(size=(500, 63))
-    norms = minkowski_norm(batch, cfg)
+    norms = PenaltyNorm(cfg)(batch)
     euclid = np.sqrt(np.sum(np.square(batch), axis=-1))
     scaled = np.sqrt(np.sum(np.square(p * batch), axis=-1))
     assert np.all(euclid <= norms)
@@ -98,15 +96,26 @@ def test_norm_batched_matches_scalar():
     cfg = MetricConfig(2, 3.0)
     rng = np.random.default_rng(4)
     batch = rng.normal(size=(8, 15))
-    batched = minkowski_norm(batch, cfg)
+    norm = PenaltyNorm(cfg)
+    batched = norm(batch)
     assert batched.shape == (8,)
     for row, value in zip(batch, batched):
-        assert minkowski_norm(row, cfg) == value
+        assert norm(row) == value
+
+
+def test_norm_of_a_coefficient_vector_is_a_python_float():
+    cfg = MetricConfig(3, 8.0)
+    norm = PenaltyNorm(cfg)
+    rows = np.random.default_rng(13).normal(size=(4, 63))
+    for row, batched in zip(rows, norm(rows)):
+        value = norm(CoeffVector(3, row))
+        assert type(value) is float
+        assert value == batched == norm(row)
 
 
 def test_norm_shape_error():
     with pytest.raises(DomainError):
-        minkowski_norm(np.zeros(14), MetricConfig(2, 2.0))
+        PenaltyNorm(MetricConfig(2, 2.0))(np.zeros(14))
 
 
 def test_penalty_norm_callable():
@@ -114,7 +123,7 @@ def test_penalty_norm_callable():
     norm = PenaltyNorm(cfg)
     rng = np.random.default_rng(5)
     batch = rng.normal(size=(6, 63))
-    assert np.array_equal(norm(batch), minkowski_norm(batch, cfg))
+    assert np.array_equal(norm(batch), np.sqrt(np.sum(np.square(norm.weights * batch), axis=-1)))
     assert norm.dimension == 63
     assert norm.penalized_mask.sum() == 63 - cfg.k
     with pytest.raises(DomainError):

@@ -15,19 +15,18 @@ from circuit_geometry import (
     DomainError,
     InfeasibleError,
     MetricConfig,
-    OptimizerSettings,
-    OptimizerStats,
     PauliString,
+    PenaltyNorm,
     Schedule,
     Unitary,
     ValidationError,
+    WitnessStats,
     distance_lower,
     distance_upper,
     enumerate_basis,
     exp_coords,
     identity,
     log_coords,
-    minkowski_norm,
     path_length,
     phase_aligned_frobenius,
     reconstruct,
@@ -146,13 +145,22 @@ def test_distance_lower_branch_cut():
         distance_lower(u, MetricConfig(2, 2.0))
 
 
-def test_optimizer_settings_validation():
-    with pytest.raises(ValidationError):
-        OptimizerSettings(segments=0)
+def test_distance_upper_refuses_a_bad_segment_count():
+    target = exp_coords(_axis(1, "X", 0.3), identity(1))
+    for segments in (0, -1, 2.5, 2.0, True, False, "2", None):
+        with pytest.raises(ValidationError, match="segments must be an integer of at least 1"):
+            distance_upper(target, MetricConfig(1, 2.0), segments)
+
+
+def test_distance_upper_accepts_numpy_integer_segments():
+    target = exp_coords(_axis(1, "X", 0.3), identity(1))
+    estimate = distance_upper(target, MetricConfig(1, 2.0), np.int64(3))
+    assert len(estimate.witness.segments) == 3
+    assert estimate.witness.values.shape == (3, 3)
 
 
 def test_estimate_validation():
-    stats = OptimizerStats(1, 1, 0.0)
+    stats = WitnessStats(1, 1, 0.0)
     empty = _path(1, [])
     with pytest.raises(ValidationError):
         DistanceEstimate(1.0, 0.5, empty, stats)
@@ -169,7 +177,7 @@ def test_distance_upper_identity():
     assert estimate.witness.segments == ()
 
 
-SMALL = OptimizerSettings(segments=2)
+SMALL = 2
 
 
 def test_distance_upper_pinches_subgroup():
@@ -207,7 +215,7 @@ def test_distance_upper_infeasible():
     phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
     u = Unitary(2, np.diag(np.exp(-1j * phases)))
     with pytest.raises(InfeasibleError):
-        distance_upper(u, MetricConfig(2, 2.0), OptimizerSettings())
+        distance_upper(u, MetricConfig(2, 2.0))
 
 
 def test_distance_upper_penalty_prices_hard_directions():
@@ -216,7 +224,7 @@ def test_distance_upper_penalty_prices_hard_directions():
     cfg = MetricConfig(3, 4.0)
     y = _axis(3, "XXX", 0.4)
     u = exp_coords(y, identity(3))
-    estimate = distance_upper(u, cfg, OptimizerSettings(segments=1))
+    estimate = distance_upper(u, cfg, 1)
     assert estimate.lower == pytest.approx(0.4, abs=1e-9)
     assert estimate.upper <= 4.0 * 0.4 + 1e-6
     assert estimate.upper >= estimate.lower - 1e-9
@@ -232,10 +240,10 @@ def test_distance_bracket_n3_with_penalty(seed):
     a, b = (CoeffVector(3, local * random_coeffs(rng, 3).values * 0.15) for _ in range(2))
     target = Unitary(3, exp_coords(a, identity(3)).matrix @ exp_coords(b, identity(3)).matrix)
     cfg = MetricConfig(3, 8.0)
-    estimate = distance_upper(target, cfg, OptimizerSettings(segments=2))
+    estimate = distance_upper(target, cfg, 2)
     assert estimate.lower <= estimate.upper + ENDPOINT_TOL
     # the witness is the one-parameter subgroup, so its length is F_p(log U)
-    assert estimate.upper == pytest.approx(minkowski_norm(log_coords(target, identity(3)), cfg), rel=1e-12)
+    assert estimate.upper == pytest.approx(PenaltyNorm(cfg)(log_coords(target, identity(3))), rel=1e-12)
     reached = schedule_endpoint(estimate.witness)
     assert phase_aligned_frobenius(reached.matrix, target.matrix) <= ENDPOINT_TOL
     assert estimate.upper == path_length(estimate.witness, cfg)
@@ -246,7 +254,7 @@ def test_distance_upper_witness_is_the_subgroup_split(n, segments):
     rng = np.random.default_rng(500 + n)
     target = exp_coords(random_coeffs(rng, n, scale=0.7), identity(n))
     cfg = MetricConfig(n, 2.0**n)
-    estimate = distance_upper(target, cfg, OptimizerSettings(segments=segments))
+    estimate = distance_upper(target, cfg, segments)
     leg = log_coords(target, identity(n)).values / segments
     assert np.array_equal(estimate.witness.values, np.repeat(leg[None, :], segments, axis=0))
     assert np.array_equal(estimate.witness.times, np.arange(segments, dtype=float))
@@ -270,9 +278,22 @@ def test_distance_upper_six_qubits_256_legs_is_fast():
     target = exp_coords(y, identity(6))
     config = MetricConfig(6, 64.0)
     began = time.perf_counter()
-    estimate = distance_upper(target, config, OptimizerSettings(segments=256))
+    estimate = distance_upper(target, config, 256)
     elapsed = time.perf_counter() - began
     assert elapsed < 3.0
     assert len(estimate.witness.segments) == 256
     assert estimate.stats.endpoint_error <= ENDPOINT_TOL
     assert estimate.upper == path_length(estimate.witness, config)
+
+
+def test_path_length_of_a_256_leg_witness_is_the_per_leg_fsum():
+    # one batched PenaltyNorm call gives the same bits as one call per leg
+    rng = np.random.default_rng(14)
+    config = MetricConfig(3, 8.0)
+    witness = distance_upper(exp_coords(random_coeffs(rng, 3, scale=0.6), identity(3)), config, 256).witness
+    mixed = Schedule.from_segments(3, rng.normal(size=(256, 63)), rng.uniform(0.1, 1.0, size=256))
+    norm = PenaltyNorm(config)
+    for schedule in (witness, mixed):
+        assert len(schedule.segments) == 256
+        per_leg = math.fsum(norm(CoeffVector(3, row)) * tau for row, tau in schedule.segments)
+        assert path_length(schedule, config) == per_leg

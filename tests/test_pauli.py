@@ -114,6 +114,15 @@ def test_decompose_known_combination():
     assert np.allclose(y.values, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+def test_decompose_refuses_non_finite_entries(bad):
+    # a NaN passes both tolerance checks, since every comparison with it is False
+    h = PauliString("XZ").matrix().astype(complex)
+    h[0, 1] = bad
+    with pytest.raises(ValidationError, match="matrix has non-finite entries"):
+        decompose(h, 2)
+
+
 def test_decompose_is_linear():
     rng = np.random.default_rng(11)
     a = random_traceless_hermitian(rng, 2)

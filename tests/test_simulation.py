@@ -11,7 +11,6 @@ from circuit_geometry import (
     DomainError,
     GateSequence,
     MetricConfig,
-    OptimizerSettings,
     PauliString,
     Schedule,
     SimulationResult,
@@ -21,7 +20,6 @@ from circuit_geometry import (
     enumerate_basis,
     gate_product,
     identity,
-    project_hamiltonian,
     project_schedule,
     reconstruct,
     schedule_endpoint,
@@ -90,8 +88,7 @@ def test_schedule_rejects_sample_at_duration():
 
 
 def test_value_at_constant_hold():
-    sched = Schedule.piecewise(1, [(0.0, np.array([1.0, 0.0, 0.0])),
-                                   (0.5, np.array([2.0, 0.0, 0.0]))], 1.0)
+    sched = Schedule(1, np.array([0.0, 0.5]), np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), 1.0)
     assert sched.value_at(0.0)[0] == 1.0
     assert sched.value_at(0.49)[0] == 1.0
     assert sched.value_at(0.5)[0] == 2.0
@@ -132,15 +129,14 @@ def test_slice_mean_constant():
 def test_slice_mean_two_halves_exact():
     a = np.array([0.3, 0.0, -1.1])
     b = np.array([0.7, 0.4, 0.1])
-    sched = Schedule.piecewise(1, [(0.0, a), (0.25, b)], 0.5)
+    sched = Schedule(1, np.array([0.0, 0.25]), np.array([a, b]), 0.5)
     (mean,) = slice_mean(sched, 0.5)
     assert np.array_equal(mean.values, (a + b) / 2.0)
 
 
 def test_slice_mean_truncated_width():
     # final slice covers [0.9, 1.0]; its mean is taken over width 0.1
-    sched = Schedule.piecewise(1, [(0.0, np.array([1.0, 0.0, 0.0])),
-                                   (0.95, np.array([3.0, 0.0, 0.0]))], 1.0)
+    sched = Schedule(1, np.array([0.0, 0.95]), np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]), 1.0)
     means = slice_mean(sched, 0.3)
     # over [0.9, 1.0]: 0.05 at value 1 and 0.05 at value 3, mean 2
     assert means[-1].values[0] == pytest.approx(2.0, abs=1e-12)
@@ -149,17 +145,17 @@ def test_slice_mean_truncated_width():
 def test_projection_zeroes_heavy_words():
     cfg = MetricConfig(3, 8.0)
     values = np.arange(1.0, 64.0)
-    projected = project_hamiltonian(CoeffVector(3, values), cfg)
+    projected = project_schedule(Schedule.constant(CoeffVector(3, values), 1.0), cfg).values[0]
     weights = weight_vector(3)
-    assert np.all(projected.values[weights >= 3] == 0.0)
-    assert np.array_equal(projected.values[weights <= 2], values[weights <= 2])
+    assert np.all(projected[weights >= 3] == 0.0)
+    assert np.array_equal(projected[weights <= 2], values[weights <= 2])
 
 
 def test_projection_identity_when_no_heavy_words():
     cfg = MetricConfig(2, 8.0)
     values = np.arange(1.0, 16.0)
-    projected = project_hamiltonian(CoeffVector(2, values), cfg)
-    assert np.array_equal(projected.values, values)
+    projected = project_schedule(Schedule.constant(CoeffVector(2, values), 1.0), cfg)
+    assert np.array_equal(projected.values[0], values)
 
 
 def test_project_schedule_rows():
@@ -259,23 +255,6 @@ def test_simulate_schedule2_non_integral_substeps():
     assert result.endpoint_error < 0.02
 
 
-def test_synthesize_second_order_flag():
-    cfg = MetricConfig(2, 1.0)
-    means = slice_mean(Schedule.constant(XI_ZZ, 0.2), 0.2)
-    first = synthesize_gates(means, 0.2, cfg, order=1)
-    second = synthesize_gates(means, 0.2, cfg, order=2)
-    assert second.gates.size == 2 * first.gates.size
-    # mirrored halves: angles are halved, order reversed in the second half
-    assert second.angles[0] == first.angles[0] / 2.0
-    assert second.gates[0] == second.gates[3]
-    assert second.gates[1] == second.gates[2]
-    # second order beats first order on the same slice
-    exact = unitary_exp(reconstruct(means[0]), 0.2)
-    err1 = np.linalg.norm(gate_product(first).matrix - exact)
-    err2 = np.linalg.norm(gate_product(second).matrix - exact)
-    assert err2 < err1
-
-
 def test_synthesize_rejects_heavy_support():
     cfg = MetricConfig(3, 8.0)
     with pytest.raises(ValidationError):
@@ -330,7 +309,7 @@ def test_schedule_endpoint_constant_oracle():
 def test_schedule_endpoint_piecewise_product():
     a = _coeffs(1, {"X": 0.4})
     b = _coeffs(1, {"Z": 1.1})
-    sched = Schedule.piecewise(1, [(0.0, a), (0.6, b)], 1.0)
+    sched = Schedule(1, np.array([0.0, 0.6]), np.array([a.values, b.values]), 1.0)
     want = unitary_exp(reconstruct(b), 0.4) @ unitary_exp(reconstruct(a), 0.6)
     assert np.max(np.abs(schedule_endpoint(sched).matrix - want)) < 1e-12
 
@@ -338,7 +317,7 @@ def test_schedule_endpoint_piecewise_product():
 def _witness(n, legs):
     rng = np.random.default_rng(9)
     target = unitary_exp(reconstruct(CoeffVector(n, rng.uniform(-0.2, 0.2, size=4**n - 1))), 1.0)
-    estimate = distance_upper(Unitary(n, target), MetricConfig(n, 4.0), OptimizerSettings(segments=legs))
+    estimate = distance_upper(Unitary(n, target), MetricConfig(n, 4.0), legs)
     return estimate.witness
 
 
