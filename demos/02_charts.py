@@ -7,7 +7,9 @@ import numpy as np
 from circuit_geometry import (
     BranchCutError,
     CoeffVector,
+    MetricConfig,
     Unitary,
+    distance_lower,
     exp_coords,
     identity,
     log_coords,
@@ -42,6 +44,8 @@ def main():
         log_coords(awkward, identity(2))
     except BranchCutError as exc:
         print("rejected as expected:", exc)
+    print(f"its distance, from the shortest logarithm modulo global phase: "
+          f"{distance_lower(awkward, MetricConfig(2, 1.0)):.6f}")
 
     section("global phase is not geometry")
     a = unitary_exp(np.diag([1.0, -1.0]), 0.2)

@@ -147,7 +147,6 @@ def log_coords(x: Unitary, base: Unitary) -> CoeffVector:
     theta = np.angle(eigenvalues)
     generator = (frame * (-theta)) @ frame.conj().T
     alpha = float(np.trace(generator).real) / dim
-    alpha -= 2.0 * np.pi * np.round(alpha / (2.0 * np.pi))
     generator = generator - alpha * np.eye(dim)
     y = decompose(generator, x.n)
     residual = float(np.max(np.abs(unitary_exp(reconstruct(y)) @ base.matrix - x.matrix)))
@@ -157,6 +156,25 @@ def log_coords(x: Unitary, base: Unitary) -> CoeffVector:
             "the point carries a global phase off the principal branch"
         )
     return y
+
+
+def _shortest_log(x: Unitary) -> CoeffVector:
+    """Coordinates of the shortest traceless logarithm of ``x`` modulo global phase.
+
+    Sorts the eigenphases, lifts the ``r`` smallest by ``2 pi`` for each
+    ``r`` and keeps the centred lift of least sum of squares (``r = 0`` on a
+    tie).  Its mean is ``2 pi k / dim`` as ``det x = 1``, so it is the
+    principal logarithm of ``x exp(-2 pi i k / dim)``, with every phase
+    within ``pi (1 - 1/dim)`` of 0; :func:`log_coords` computes and checks it.
+    """
+    dim = 2**x.n
+    theta = np.sort(np.angle(np.linalg.eigvals(x.matrix)))
+    lifts = theta + 2.0 * np.pi * np.tri(dim, k=-1)
+    best = int(np.argmin(np.sum((lifts - lifts.mean(axis=1, keepdims=True)) ** 2, axis=1)))
+    k = int(np.rint(lifts[best].sum() / (2.0 * np.pi))) % dim
+    if k:
+        x = Unitary(x.n, x.matrix * np.exp(-2j * np.pi * k / dim))
+    return log_coords(x, identity(x.n))
 
 
 def chart_segment_rho(x_from: Unitary, x_to: Unitary) -> float:

@@ -9,8 +9,8 @@ same bytes, and the distance witness draws no random numbers.  The
 ``config`` block echoes the command name, every option, and the resolved
 qubit count ``n`` and penalty ``p``.  Exit codes: 0 all checks pass, 1 a
 bound check failed, 2 parse or validation error or any unexpected
-internal error, 3 no feasible schedule (the target has no principal
-logarithm), 130 interrupted.
+internal error, 130 interrupted.  Every target has a distance bracket:
+distances are measured on the projective group.
 
 ``simulate --delta auto`` is a policy of this front end, not of the
 library: the slice width is ``1 / (n^2 d_hat)`` clipped to the schedule
@@ -34,7 +34,7 @@ from .bounds import (
     gate_count_scaling,
 )
 from .charts import exp_coords, identity
-from .errors import BranchCutError, DomainError, InfeasibleError, ValidationError
+from .errors import DomainError, ValidationError
 from .io import (
     load_matrix,
     load_schedule,
@@ -57,7 +57,6 @@ OUT_DIR_ENV = "CGEO_OUT_DIR"
 EXIT_OK = 0
 EXIT_BOUND_FAILURE = 1
 EXIT_INVALID = 2
-EXIT_INFEASIBLE = 3
 #: The shell's code for a process ended by SIGINT (128 + 2).
 EXIT_INTERRUPTED = 130
 
@@ -101,9 +100,7 @@ def _fail(code: int, message: str) -> None:
 def _guarded(body):
     try:
         body()
-    except InfeasibleError as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
-    except (ValidationError, DomainError, BranchCutError) as exc:
+    except (ValidationError, DomainError) as exc:
         _fail(EXIT_INVALID, str(exc))
     except OSError as exc:
         _fail(EXIT_INVALID, f"{exc.filename or ''}: {exc.strerror or exc}")

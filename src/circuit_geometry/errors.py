@@ -40,14 +40,6 @@ class EvaluationError(RuntimeError):
     """A user-supplied norm callable produced a non-finite value."""
 
 
-class InfeasibleError(RuntimeError):
-    """No schedule reaching the target within the endpoint tolerance was found.
-
-    The message names the cause: the target has no principal logarithm, or
-    the witness endpoint misses it.
-    """
-
-
 class CoefficientBoundError(ValidationError):
     """A slice-mean coefficient exceeds the unit bound assumed by synthesis."""
 

@@ -3,9 +3,9 @@
 A path is a piecewise-constant :class:`~circuit_geometry.simulation.Schedule`;
 its length is the sum of penalty-norm segment lengths, and the distance
 from the identity to a target is bracketed by a chart lower bound and the
-length of the one-parameter-subgroup witness ``exp(-i t log U)``, which
-reaches the target by construction (Nielsen-Dowling-Gu-Doherty,
-quant-ph/0603161).
+length of the witness ``exp(-i t K)``, ``K`` the shortest traceless
+logarithm of the target modulo global phase, which reaches the target by
+construction (Nielsen-Dowling-Gu-Doherty, quant-ph/0603161).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Unitary, identity, log_coords, phase_aligned_frobenius
-from .errors import BranchCutError, DomainError, InfeasibleError, ValidationError
+from .charts import Unitary, _shortest_log, phase_aligned_frobenius
+from .errors import DomainError, ValidationError
 from .metric import MetricConfig, PenaltyNorm, distortion_constants
 from .simulation import MAX_WITNESS_COEFFICIENTS, Schedule, schedule_endpoint
 
@@ -45,14 +45,14 @@ def path_length(path: Schedule, config: MetricConfig) -> float:
 def distance_lower(target: Unitary, config: MetricConfig) -> float:
     """Chart lower bound on the distance from the identity to ``target``.
 
-    Equal to ``m * |log_coords(target, I)|`` where ``m`` is the lower
-    distortion constant (1 for the penalty norm).  Propagates
-    ``BranchCutError`` when the target sits on the chart boundary.
+    Equal to ``m * |K|``, ``K`` the shortest traceless logarithm of ``target``
+    modulo global phase and ``m`` the lower distortion constant (1 for the
+    penalty norm): every target has one, on the projective group.
     """
     if target.n != config.n:
         raise DomainError(f"target qubit count {target.n} does not match config {config.n}")
     m_lower, _ = distortion_constants(config)
-    return m_lower * log_coords(target, identity(target.n)).norm
+    return m_lower * _shortest_log(target).norm
 
 
 @dataclass(frozen=True)
@@ -89,19 +89,19 @@ class DistanceEstimate:
 def distance_upper(target: Unitary, config: MetricConfig, segments: int = 8) -> DistanceEstimate:
     """Length of a feasible schedule reaching ``target``, plus the chart lower bound.
 
-    The witness is the one-parameter subgroup through ``target``, split into
-    ``segments`` equal legs ``y_j = log_coords(target) / segments``,
+    Every target gets a bracket, on the projective group: the witness is
+    ``exp(-i t K)``, ``K`` the shortest traceless logarithm modulo global
+    phase, split into ``segments`` equal legs ``y_j = K / segments``,
     ``tau_j = 1``; the split sets the legs that ``verify`` checks one by one.
-    The returned upper value is the exact length of that witness,
-    ``F_p(log U)`` up to roundoff, so it bounds the true distance from above.
-    Endpoints compare modulo global phase; a target within
-    ``IDENTITY_SHORTCUT`` of the identity gets the empty witness.
+    The returned upper value is the exact length of that witness, ``F_p(K)``
+    up to roundoff, so it bounds the true distance from above.  A target
+    within ``IDENTITY_SHORTCUT`` of the identity gets the empty witness.
 
     Raises ``ValidationError`` unless ``segments`` is an integer (not a bool)
-    of at least 1, ``DomainError``, before building the witness, for a witness
-    above :data:`MAX_WITNESS_COEFFICIENTS` coefficients, and ``InfeasibleError``
-    when the target has no principal logarithm (branch cut or global-phase
-    obstruction) or the witness endpoint misses it by more than ``ENDPOINT_TOL``.
+    of at least 1, and ``DomainError``, before building the witness, for a
+    witness above :data:`MAX_WITNESS_COEFFICIENTS` coefficients.  A witness
+    endpoint that misses the target by more than ``ENDPOINT_TOL`` is a fault
+    of the package and raises ``RuntimeError``.
     """
     if isinstance(segments, bool) or not isinstance(segments, numbers.Integral) or segments < 1:
         raise ValidationError(f"segments must be an integer of at least 1, got {segments!r}")
@@ -113,28 +113,23 @@ def distance_upper(target: Unitary, config: MetricConfig, segments: int = 8) -> 
         raise DomainError(f"a witness of {n_segments} segments at n = {config.n} holds {coefficients} "
                           f"coefficients; the limit is {MAX_WITNESS_COEFFICIENTS} coefficients")
 
-    try:
-        subgroup = log_coords(target, identity(config.n))
-    except (BranchCutError, ValidationError) as exc:
-        subgroup, obstruction = None, exc
+    subgroup = _shortest_log(target)
     m_lower, _ = distortion_constants(config)
-    lower = 0.0 if subgroup is None else m_lower * subgroup.norm
+    lower = m_lower * subgroup.norm
 
     empty_error = phase_aligned_frobenius(np.eye(2**config.n, dtype=complex), target.matrix)
     if empty_error <= IDENTITY_SHORTCUT:
         stats = WitnessStats(runs=0, evaluations=0, endpoint_error=empty_error)
         return DistanceEstimate(lower, 0.0, Schedule.from_segments(config.n, [], []), stats)
-    if subgroup is None:
-        raise InfeasibleError(f"no feasible schedule found: {obstruction}")
 
     witness = Schedule.from_segments(
         config.n, [subgroup.values / n_segments] * n_segments, [1.0] * n_segments
     )
     error = phase_aligned_frobenius(schedule_endpoint(witness).matrix, target.matrix)
     if not error <= ENDPOINT_TOL:
-        raise InfeasibleError(
-            f"no feasible schedule found: the subgroup witness misses the target by "
-            f"{error:.3e}, beyond the tolerance {ENDPOINT_TOL:.1e}"
+        raise RuntimeError(
+            f"the subgroup witness misses the target by {error:.3e}, "
+            f"beyond the tolerance {ENDPOINT_TOL:.1e}"
         )
     stats = WitnessStats(runs=1, evaluations=1, endpoint_error=error)
     return DistanceEstimate(lower, path_length(witness, config), witness, stats)

@@ -6,8 +6,11 @@ import pytest
 
 import circuit_geometry
 
-#: Names deleted when each job was left with a single public entry point.
+#: Names deleted when each job was left with a single public entry point, and
+#: the "infeasible" outcome, which no target has once every target gets a bracket.
 REMOVED = {
+    "cli": ["EXIT_INFEASIBLE"],
+    "errors": ["InfeasibleError"],
     "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values"],
     "paths": ["OptimizerSettings", "OptimizerStats"],
     "simulation": ["project_hamiltonian"],

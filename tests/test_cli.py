@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 from circuit_geometry import (
     cli,
     gate_product,
+    identity,
     load_gates,
     load_schedule,
+    load_unitary,
+    paths,
     phase_aligned_frobenius,
     schedule_endpoint,
 )
 from circuit_geometry.cli import main
-from util import chain_schedule, random_traceless_hermitian, subprocess_env
+from util import brute_force_distance, chain_schedule, random_traceless_hermitian, subprocess_env
 
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
@@ -265,32 +268,91 @@ def test_distance_reports_are_byte_identical(runner, tmp_path):
     assert out.read_bytes() == first
 
 
-def test_infeasible_target_exits_3(runner, tmp_path):
-    # diagonal with eigenvalues pinned to the branch cut: the subgroup
-    # start is rejected, so there is nothing to search
+def _branch_cut_target(tmp_path):
+    # eigenvalues within 1e-9 of -1: no principal logarithm, but a bracket
+    # on the projective group, from the shortest logarithm modulo global phase
     phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
     matrix = np.diag(np.exp(1j * phases))
-    target = _write(tmp_path, "cut.json", {
+    return _write(tmp_path, "cut.json", {
         "n": 2, "re": matrix.real.tolist(), "im": matrix.imag.tolist(),
     })
-    result = runner.invoke(main, ["distance", "--unitary", target,
-                                  "--out", str(tmp_path / "r.json")])
-    assert result.exit_code == 3
+
+
+def test_infeasible_target_exits_3(runner, tmp_path):
+    # named for the exit 3 this target got while only the principal logarithm
+    # was tried; exit 3 is gone, and the target now gets its bracket
+    target = _branch_cut_target(tmp_path)
+    out = tmp_path / "r.json"
+    result = runner.invoke(main, ["distance", "--unitary", target, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    bracket = _report(out)["results"]
+    assert bracket["lower"] == pytest.approx(1.5850555511629048, abs=1e-12)
+    assert bracket["upper"] == pytest.approx(1.5850555511629048, abs=1e-12)
+    assert bracket["lower"] == pytest.approx(brute_force_distance(load_unitary(target)), abs=1e-12)
 
 
 def test_branch_cut_target_exits_3_without_searching(runner, tmp_path):
-    phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
-    matrix = np.diag(np.exp(1j * phases))
-    target = _write(tmp_path, "cut.json", {
-        "n": 2, "re": matrix.real.tolist(), "im": matrix.imag.tolist(),
-    })
+    # named for the exit 3 this target once got; it still needs no search:
+    # one witness from the shortest logarithm, well inside the time guard
+    target = _branch_cut_target(tmp_path)
     started = time.perf_counter()
     result = runner.invoke(main, ["distance", "--unitary", target, "--out", str(tmp_path / "r.json")])
     elapsed = time.perf_counter() - started
-    assert result.exit_code == 3
-    assert "no feasible schedule found" in result.stderr
-    assert "principal logarithm" in result.stderr
+    assert result.exit_code == 0, result.output
+    assert "no feasible schedule" not in result.stderr
     assert elapsed < 0.25
+
+
+def _phased_rotation(tmp_path, phase, name):
+    matrix = phase * scipy.linalg.expm(-0.2j * np.kron(np.diag([1.0, -1.0]), np.eye(2)))
+    return _write(tmp_path, name, {"n": 2, "re": matrix.real.tolist(), "im": matrix.imag.tolist()})
+
+
+@pytest.mark.parametrize("command", ["distance", "verify"])
+def test_a_global_phase_gets_the_same_bracket(runner, tmp_path, command):
+    # i exp(-0.2i ZI) and exp(-0.2i ZI) are one point of the projective group
+    brackets = []
+    for phase, name in ((1j, "phased.json"), (1.0, "plain.json")):
+        target = _phased_rotation(tmp_path, phase, name)
+        out = tmp_path / f"{command}_{name}"
+        result = runner.invoke(main, [command, "--unitary", target, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = _report(out)
+        assert all(entry["passed"] for entry in report["bound_reports"])
+        assert report["results"]["lower"] == pytest.approx(brute_force_distance(load_unitary(target)), abs=1e-12)
+        brackets.append((report["results"]["lower"], report["results"]["upper"]))
+    assert brackets[0] == pytest.approx(brackets[1], abs=1e-12)
+    assert brackets[1] == pytest.approx((0.2, 0.2), abs=1e-12)
+
+
+def test_simulate_auto_brackets_an_endpoint_off_the_principal_branch(runner, tmp_path):
+    # the endpoint's eigenphases sum to 2 pi k != 0, which once made the
+    # default --delta auto exit 3 on a valid schedule
+    schedule = _write(tmp_path, "s.json", {
+        "n": 2, "segments": [{"tau": 2.5, "y": {"ZI": 1.0, "IZ": 0.3, "ZZ": 0.2}}],
+    })
+    out = tmp_path / "sim.json"
+    result = runner.invoke(main, ["simulate", "--schedule", schedule, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = _report(out)
+    (sandwich,) = report["bound_reports"]
+    assert sandwich["context"] == "simulation-sandwich"
+    assert sandwich["passed"]
+    # at n = 2 the penalty is idle, so d_hat is the brute-force minimum: 1.1064091165298633
+    d_hat = brute_force_distance(schedule_endpoint(load_schedule(schedule)))
+    assert d_hat == pytest.approx(1.1064091165298633, abs=1e-12)
+    assert report["results"]["delta"] == pytest.approx(1.0 / (4 * d_hat), rel=1e-12)
+
+
+def test_a_witness_that_misses_its_target_is_an_internal_error(runner, tmp_path, monkeypatch):
+    # the witness reaches its target by construction, so a miss is a fault
+    # of the package: exit 2, never 1 (bound failed)
+    monkeypatch.setattr(paths, "schedule_endpoint", lambda schedule: identity(schedule.n))
+    result = runner.invoke(main, ["distance", "--unitary", _x_rotation(tmp_path),
+                                  "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert "error: internal error: RuntimeError: the subgroup witness misses the target" in result.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_distance_echoes_seed(runner, tmp_path):
@@ -353,7 +415,8 @@ def _matrix_file(matrix):
 
 
 #: Valid files to mutate.  X and Z(x)Z decompose; the identity and
-#: exp(-0.3i X) have a distance (exit 0), and Z(x)Z sits on the branch cut (exit 3).
+#: exp(-0.3i X) have a distance (exit 0), and so does Z(x)Z = i exp(-i pi/2 Z(x)Z),
+#: whose eigenvalues sit on the branch cut.
 MATRIX_FILES = [_matrix_file(m) for m in (
     np.eye(2), [[0, 1], [1, 0]], np.diag([1, -1, -1, 1]),
     [[np.cos(0.3), -1j * np.sin(0.3)], [-1j * np.sin(0.3), np.cos(0.3)]],
@@ -392,7 +455,7 @@ def test_json_readers_never_exit_1(runner, tmp_path, case):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(payload))
     result = runner.invoke(main, [*args, str(path), "--out", str(tmp_path / "r.json")])
-    assert result.exit_code in (0, 2, 3), (payload, result.output)
+    assert result.exit_code in (0, 2), (payload, result.output)
 
 
 def test_scaling_happy(runner, tmp_path):

@@ -13,7 +13,6 @@ from circuit_geometry import (
     CoeffVector,
     DistanceEstimate,
     DomainError,
-    InfeasibleError,
     MetricConfig,
     PauliString,
     PenaltyNorm,
@@ -21,6 +20,7 @@ from circuit_geometry import (
     Unitary,
     ValidationError,
     WitnessStats,
+    check_segment_distortion,
     distance_lower,
     distance_upper,
     enumerate_basis,
@@ -35,7 +35,7 @@ from circuit_geometry import (
     weight_vector,
 )
 from circuit_geometry.paths import ENDPOINT_TOL
-from util import random_coeffs
+from util import brute_force_distance, haar_unitary, random_coeffs
 
 
 def _axis(n, word, value):
@@ -138,11 +138,49 @@ def test_distance_lower_oracle():
         assert abs(distance_lower(u, cfg) - theta) < 1e-12
 
 
+#: Eigenvalues within 1e-9 of -1: the principal logarithm is refused, yet the
+#: target is exp(-i K) times the central phase i, with |K| = sqrt(pi^2 + 0.18) / 2.
+BRANCH_CUT = Unitary(2, np.diag(np.exp(-1j * np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3]))))
+
+
 def test_distance_lower_branch_cut():
-    phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
-    u = Unitary(2, np.diag(np.exp(-1j * phases)))
     with pytest.raises(BranchCutError):
-        distance_lower(u, MetricConfig(2, 2.0))
+        log_coords(BRANCH_CUT, identity(2))
+    lower = distance_lower(BRANCH_CUT, MetricConfig(2, 2.0))
+    assert lower == pytest.approx(1.5850555511629048, abs=1e-12)
+    assert lower == pytest.approx(math.sqrt(np.pi**2 + 0.18) / 2, abs=1e-12)
+
+
+def _eigenbasis_target(rng, n, phases):
+    """``V diag(exp(i phases)) V^dagger`` for a Haar-random ``V``."""
+    frame = haar_unitary(rng, n).matrix
+    return Unitary(n, (frame * np.exp(1j * np.asarray(phases))) @ frame.conj().T)
+
+
+def _target(kind, n, rng):
+    dim = 2**n
+    if kind == "haar":
+        return haar_unitary(rng, n)
+    if kind == "near_cut":
+        rest = rng.uniform(-2.5, 2.5, size=dim - 2)
+        return _eigenbasis_target(rng, n, [np.pi - 5e-10, *rest, -(np.pi - 5e-10) - rest.sum()])
+    if kind == "phases_sum_to_2pi_k":
+        # (pi, pi) at n = 1 is -I; (3, 3, 3, 2 pi - 9) at n = 2 sums to 2 pi
+        return _eigenbasis_target(rng, n, [np.pi, np.pi] if n == 1 else [3.0, 3.0, 3.0, 2 * np.pi - 9.0])
+    small = exp_coords(random_coeffs(rng, n, scale=0.3), identity(n)).matrix
+    return Unitary(n, np.exp(2j * np.pi * rng.integers(1, dim) / dim) * small)
+
+
+@pytest.mark.parametrize("kind", ["haar", "near_cut", "phases_sum_to_2pi_k", "central_times_small"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_distance_lower_is_the_shortest_branch(n, kind):
+    # the least |K| over eigenphase shifts in {-2..2}^dim and the dim central phases
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        target = _target(kind, n, rng)
+        assert distance_lower(target, MetricConfig(n, 1.0)) == pytest.approx(
+            brute_force_distance(target), abs=1e-12
+        )
 
 
 def test_distance_upper_refuses_a_bad_segment_count():
@@ -212,10 +250,12 @@ def test_distance_upper_deterministic():
 
 
 def test_distance_upper_infeasible():
-    phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
-    u = Unitary(2, np.diag(np.exp(-1j * phases)))
-    with pytest.raises(InfeasibleError):
-        distance_upper(u, MetricConfig(2, 2.0))
+    # named for the InfeasibleError this target raised while only the principal
+    # logarithm was tried; it now gets a bracket on the projective group
+    estimate = distance_upper(BRANCH_CUT, MetricConfig(2, 2.0))
+    assert estimate.lower == pytest.approx(brute_force_distance(BRANCH_CUT), abs=1e-12)
+    assert estimate.lower == pytest.approx(1.5850555511629048, abs=1e-12)
+    assert estimate.upper == pytest.approx(1.5850555511629048, abs=1e-12)
 
 
 def test_distance_upper_penalty_prices_hard_directions():
@@ -265,11 +305,42 @@ def test_distance_upper_witness_is_the_subgroup_split(n, segments):
 
 
 def test_distance_upper_branch_cut_raises_without_search():
-    phases = np.array([np.pi - 1e-9, -(np.pi - 1e-9), 0.3, -0.3])
-    u = Unitary(2, np.diag(np.exp(-1j * phases)))
-    with pytest.raises(InfeasibleError, match="no feasible schedule found: .*principal logarithm"):
-        distance_upper(u, MetricConfig(2, 2.0))
+    # named for the refusal this target got while only the principal logarithm
+    # was tried; it still needs no search: one witness, one evaluation
+    estimate = distance_upper(BRANCH_CUT, MetricConfig(2, 2.0))
+    assert (estimate.stats.runs, estimate.stats.evaluations) == (1, 1)
+    assert estimate.stats.endpoint_error <= ENDPOINT_TOL
     assert distance_upper(identity(2), MetricConfig(2, 2.0)).stats.runs == 0
+
+
+@pytest.mark.parametrize("phase", [1j, -1.0, -1j])
+def test_a_global_phase_leaves_the_bracket_unchanged(phase):
+    cfg = MetricConfig(2, 4.0)
+    rotation = exp_coords(_axis(2, "ZI", 0.2), identity(2))
+    plain = distance_upper(rotation, cfg)
+    phased = distance_upper(Unitary(2, phase * rotation.matrix), cfg)
+    assert (phased.lower, phased.upper) == pytest.approx((plain.lower, plain.upper), abs=1e-12)
+    assert (plain.lower, plain.upper) == pytest.approx((0.2, 0.2), abs=1e-12)
+    # a central target is the identity on the projective group
+    central = distance_upper(Unitary(2, phase * np.eye(4)), cfg)
+    assert (central.lower, central.upper) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("segments", [1, 8])
+@pytest.mark.parametrize("n", [3, 4])
+def test_bracket_holds_on_haar_random_targets_where_the_penalty_acts(n, segments):
+    rng = np.random.default_rng(70 + n)
+    cfg = MetricConfig(n, 2.0**n)
+    for _ in range(3):
+        estimate = distance_upper(haar_unitary(rng, n), cfg, segments)
+        assert estimate.lower <= estimate.upper <= cfg.p * estimate.lower
+        assert estimate.stats.endpoint_error <= ENDPOINT_TOL
+        # every leg stays in the principal chart and passes its sandwich, as in verify
+        current = identity(n)
+        for row, tau in estimate.witness.segments:
+            following = exp_coords(CoeffVector(n, row * tau), current)
+            assert check_segment_distortion(current, following, cfg).passed
+            current = following
 
 
 def test_distance_upper_six_qubits_256_legs_is_fast():

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random matrices and schedules,
 and dense oracles for the Pauli bitmask kernel."""
 
+import itertools
 import os
 
 import numpy as np
@@ -24,6 +25,24 @@ def haar_unitary(rng, n):
     det = np.linalg.det(q)
     q = q * np.exp(-1j * np.angle(det) / dim)
     return Unitary(n, q)
+
+
+def brute_force_distance(target):
+    """Least ``|K|`` over traceless ``K`` with ``exp(-i K) = omega target``, ``omega`` central.
+
+    Tries every shift ``m`` in {-2..2}^dim of the eigenphases under each of the
+    ``dim`` central phases ``omega = exp(2 pi i k / dim)``, keeps the lifts
+    that sum to zero, and returns ``sqrt(sum phi^2 / dim)`` of the least one.
+    """
+    dim = len(target.matrix)
+    theta = np.angle(np.linalg.eigvals(target.matrix))
+    shifts = 2.0 * np.pi * np.array(list(itertools.product(range(-2, 3), repeat=dim)))
+    best = np.inf
+    for k in range(dim):
+        lifts = theta - 2.0 * np.pi * k / dim + shifts
+        traceless = np.abs(lifts.sum(axis=1)) < 1e-6
+        best = min(best, float(np.min(np.sum(lifts[traceless] ** 2, axis=1))))
+    return float(np.sqrt(best / dim))
 
 
 def random_coeffs(rng, n, scale=1.0):
