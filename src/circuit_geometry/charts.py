@@ -114,10 +114,13 @@ def log_coords(x: Unitary, base: Unitary) -> CoeffVector:
     """Principal-branch chart coordinates of ``x`` in the chart at ``base``.
 
     Returns ``y`` with ``exp_coords(y, base) == x`` up to roundoff.  The
-    relative rotation ``x @ base^dagger`` is diagonalized (complex Schur;
-    unitary input makes the triangular factor diagonal), eigenphases are
-    taken in (-pi, pi], and the traceful part of the resulting generator
-    is removed -- the group carries no identity direction, so only the
+    relative rotation ``x @ base^dagger`` is diagonalized by ``eig``; a QR
+    of the eigenvectors makes them orthonormal inside degenerate
+    eigenspaces, which ``eig`` does not promise (eigenvectors of distinct
+    eigenvalues of a normal matrix are orthogonal already, so QR only mixes
+    near-degenerate ones, at about rounding cost).  Eigenphases are taken
+    in (-pi, pi], and the traceful part of the resulting generator is
+    removed -- the group carries no identity direction, so only the
     traceless part is a coordinate.
 
     Raises
@@ -130,16 +133,12 @@ def log_coords(x: Unitary, base: Unitary) -> CoeffVector:
         ``ROUNDTRIP_TOL`` (a global-phase obstruction: the traceful part
         removed was not an integer multiple of a representable phase).
     """
-    # imported here, not at the top: scipy is most of the package's import
-    # time, and this is its one use, so commands without a logarithm skip it
-    import scipy.linalg
-
     if x.n != base.n:
         raise DomainError(f"point qubit count {x.n} does not match base {base.n}")
     dim = 2**x.n
     relative = x.matrix @ base.matrix.conj().T
-    triangular, frame = scipy.linalg.schur(relative, output="complex")
-    eigenvalues = np.diag(triangular)
+    eigenvalues, vectors = np.linalg.eig(relative)
+    frame = np.linalg.qr(vectors)[0]
     gaps = np.abs(eigenvalues + 1.0)
     nearest = int(np.argmin(gaps))
     if gaps[nearest] < BRANCH_GAP:
@@ -163,18 +162,18 @@ def _shortest_log(x: Unitary) -> CoeffVector:
 
     Sorts the eigenphases, lifts the ``r`` smallest by ``2 pi`` for each
     ``r`` and keeps the centred lift of least sum of squares (``r = 0`` on a
-    tie).  Its mean is ``2 pi k / dim`` as ``det x = 1``, so it is the
-    principal logarithm of ``x exp(-2 pi i k / dim)``, with every phase
-    within ``pi (1 - 1/dim)`` of 0; :func:`log_coords` computes and checks it.
+    tie).  Shifting ``x`` by the measured mean of that lift makes it the
+    principal logarithm, with every phase within ``pi (1 - 1/dim)`` of 0;
+    :func:`log_coords` computes and checks it.  The mean is ``2 pi k / dim``
+    up to the determinant error that :class:`Unitary` admits, and shifting
+    by the measured value, not the exact root of unity, removes that error
+    with the central phase.
     """
     dim = 2**x.n
     theta = np.sort(np.angle(np.linalg.eigvals(x.matrix)))
     lifts = theta + 2.0 * np.pi * np.tri(dim, k=-1)
     best = int(np.argmin(np.sum((lifts - lifts.mean(axis=1, keepdims=True)) ** 2, axis=1)))
-    k = int(np.rint(lifts[best].sum() / (2.0 * np.pi))) % dim
-    if k:
-        x = Unitary(x.n, x.matrix * np.exp(-2j * np.pi * k / dim))
-    return log_coords(x, identity(x.n))
+    return log_coords(Unitary(x.n, x.matrix * np.exp(-1j * lifts[best].mean())), identity(x.n))
 
 
 def chart_segment_rho(x_from: Unitary, x_to: Unitary) -> float:

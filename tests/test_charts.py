@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from circuit_geometry import (
     BranchCutError,
@@ -12,12 +13,14 @@ from circuit_geometry import (
     Unitary,
     ValidationError,
     chart_segment_rho,
+    decompose,
     exp_coords,
     identity,
     log_coords,
     phase_aligned_frobenius,
     unitary_exp,
 )
+from circuit_geometry.charts import ROUNDTRIP_TOL
 from util import haar_unitary, random_coeffs, random_traceless_hermitian
 
 
@@ -83,6 +86,52 @@ def test_chart_round_trip(n):
         base = haar_unitary(rng, n)
         back = log_coords(exp_coords(y, base), base)
         assert np.max(np.abs(back.values - y.values)) < 1e-9
+
+
+def _schur_log(x, base):
+    """Principal chart coordinates from a complex Schur form, as an oracle."""
+    dim = 2**x.n
+    triangular, frame = scipy.linalg.schur(x.matrix @ base.matrix.conj().T, output="complex")
+    generator = (frame * -np.angle(np.diag(triangular))) @ frame.conj().T
+    return decompose(generator - np.trace(generator).real / dim * np.eye(dim), x.n)
+
+
+def _first_qubit(n, a, b):
+    """``a X I..I + b Z I..I``: two eigenvalues, each 2^(n-1)-fold degenerate."""
+    one = a * PauliString("X").matrix() + b * PauliString("Z").matrix()
+    return np.kron(one, np.eye(2 ** (n - 1)))
+
+
+def _hard_logarithm_inputs(n):
+    """(point, base) pairs where ``eig`` is weakest: degenerate spectra,
+    eigenphases near the branch cut, and rotations near the identity."""
+    rng = np.random.default_rng(60 + n)
+    dim = 2**n
+    cases = []
+    for a, b in ((3.0, 0.5), (0.7, -1.1), (1e-3, 2.0)):
+        v = haar_unitary(rng, n).matrix
+        base = haar_unitary(rng, n)
+        rotation = v @ unitary_exp(_first_qubit(n, a, b)) @ v.conj().T
+        cases.append((Unitary(n, rotation @ base.matrix), base))
+    for gap in (1e-7, 3e-8):
+        half = rng.uniform(-np.pi / 2, np.pi / 2, size=dim // 2)
+        half[0] = np.pi - gap
+        phases = np.concatenate([half, -half])
+        v = haar_unitary(rng, n).matrix
+        base = haar_unitary(rng, n)
+        point = (v * np.exp(-1j * phases)) @ v.conj().T @ base.matrix
+        cases.append((Unitary(n, point), base))
+    base = haar_unitary(rng, n)
+    cases.append((exp_coords(random_coeffs(rng, n, scale=1e-12), base), base))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_log_coords_matches_a_schur_oracle_where_eig_is_weakest(n):
+    for x, base in _hard_logarithm_inputs(n):
+        y = log_coords(x, base)
+        assert np.max(np.abs(exp_coords(y, base).matrix - x.matrix)) <= ROUNDTRIP_TOL
+        assert np.max(np.abs(y.values - _schur_log(x, base).values)) <= 1e-12
 
 
 def test_log_coords_branch_cut():

@@ -41,8 +41,8 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
-def _x_rotation(tmp_path, angle=0.3, name="target.json"):
-    matrix = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * np.array([[0, 1], [1, 0]])
+def _x_rotation(tmp_path, angle=0.3, name="target.json", phase=1.0):
+    matrix = phase * (np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * np.array([[0, 1], [1, 0]]))
     return _write(tmp_path, name, {
         "n": 1, "re": matrix.real.tolist(), "im": matrix.imag.tolist(),
     })
@@ -323,6 +323,18 @@ def test_a_global_phase_gets_the_same_bracket(runner, tmp_path, command):
         brackets.append((report["results"]["lower"], report["results"]["upper"]))
     assert brackets[0] == pytest.approx(brackets[1], abs=1e-12)
     assert brackets[1] == pytest.approx((0.2, 0.2), abs=1e-12)
+
+
+def test_distance_accepts_a_determinant_error_that_unitary_admits(runner, tmp_path):
+    # |det - 1| = 8e-9 <= DET_TOL; the central phase exp(4e-9 i) must not
+    # reach the logarithm's roundtrip check (ROUNDTRIP_TOL = 1e-9)
+    target = _x_rotation(tmp_path, phase=np.exp(4e-9j))
+    out = tmp_path / "r.json"
+    result = runner.invoke(main, ["distance", "--unitary", target, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    results = _report(out)["results"]
+    assert (results["lower"], results["upper"]) == (0.3, 0.3)
+    assert results["stats"]["endpoint_error"] == 0.0
 
 
 def test_simulate_auto_brackets_an_endpoint_off_the_principal_branch(runner, tmp_path):
@@ -622,10 +634,9 @@ def test_n6_runs_fit_under_memory_cap(tmp_path, command):
 
 
 #: Address-space cap under which n = 6 ``decompose`` and ``simulate`` run:
-#: the interpreter with numpy loaded (neither command takes a chart
-#: logarithm, so scipy stays unloaded), a 64 x 64 matrix and the word
-#: tables (a few MB); a dense stack of the 4095 basis words (268 MB) does
-#: not fit.
+#: the interpreter with numpy and click loaded (the package imports no
+#: scipy), a 64 x 64 matrix and the word tables (a few MB); a dense stack
+#: of the 4095 basis words (268 MB) does not fit.
 N6_KERNEL_CAP = 320 << 20
 
 

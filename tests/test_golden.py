@@ -5,9 +5,9 @@ Each case runs in-process from a fresh directory holding copies of
 of a report echoes its input and output paths.  The exit code and the
 console line are kept next to the report as ``<case>.txt``.
 
-Each case also runs in a child interpreter with scipy blocked: the cases
-that take no chart logarithm must still match their goldens, and the
-others must exit 2 with an internal-error line.
+Each case also runs in a child interpreter with scipy blocked and must
+still match its golden: the package needs numpy and click only, and this
+guards against a scipy import coming back.
 
 The goldens pin report bytes across refactors.  A change that alters the
 report format on purpose regenerates them with ``python tests/test_golden.py``.
@@ -45,11 +45,6 @@ CASES = {
     "distortion": (["distortion", "--n", "3", "--samples", "3000", "--seed", "5"], "json"),
     "scaling": (["scaling", "--schedule", "schedule2.json"], "json"),
 }
-
-
-#: Cases that take a chart logarithm (``charts.log_coords``), the one use of scipy.
-CHART_LOGARITHM = {"distance_identity", "distance_rotation", "verify_identity", "verify_rotation",
-                   "verify_rotation_csv", "simulate_auto"}
 
 #: Child-interpreter script that runs ``cgeo`` with scipy blocked: any
 #: ``import scipy`` in it raises ``ModuleNotFoundError``.
@@ -121,12 +116,7 @@ def test_golden_case_without_scipy(name, tmp_path):
         return proc.returncode, proc.stdout
 
     outputs = run_case(name, str(tmp_path), invoke)
-    if name in CHART_LOGARITHM:
-        # scipy is imported at the first logarithm, where a failure is an internal error
-        assert outputs == {f"{name}.txt": b"exit 2\n"}
-        assert stderr[0].startswith("error: internal error: ModuleNotFoundError: "), stderr[0]
-    else:
-        assert outputs == golden_files(name), stderr[0]
+    assert outputs == golden_files(name), stderr[0]
 
 
 def test_help_without_scipy(tmp_path):

@@ -34,6 +34,7 @@ from circuit_geometry import (
     unitary_exp,
     weight_vector,
 )
+from circuit_geometry.charts import _shortest_log
 from circuit_geometry.paths import ENDPOINT_TOL
 from util import brute_force_distance, haar_unitary, random_coeffs
 
@@ -295,7 +296,7 @@ def test_distance_upper_witness_is_the_subgroup_split(n, segments):
     target = exp_coords(random_coeffs(rng, n, scale=0.7), identity(n))
     cfg = MetricConfig(n, 2.0**n)
     estimate = distance_upper(target, cfg, segments)
-    leg = log_coords(target, identity(n)).values / segments
+    leg = _shortest_log(target).values / segments
     assert np.array_equal(estimate.witness.values, np.repeat(leg[None, :], segments, axis=0))
     assert np.array_equal(estimate.witness.times, np.arange(segments, dtype=float))
     assert estimate.witness.duration == float(segments)
@@ -324,6 +325,18 @@ def test_a_global_phase_leaves_the_bracket_unchanged(phase):
     # a central target is the identity on the projective group
     central = distance_upper(Unitary(2, phase * np.eye(4)), cfg)
     assert (central.lower, central.upper) == (0.0, 0.0)
+
+
+def test_a_determinant_error_that_unitary_admits_leaves_the_bracket_exact():
+    # |det - 1| = 8e-9 is within DET_TOL, and the phase exp(4e-9 i) is central,
+    # so the bracket is that of the rotation by 0.3 alone
+    rotation = np.cos(0.3) * np.eye(2) - 1j * np.sin(0.3) * PauliString("X").matrix()
+    target = Unitary(1, rotation * np.exp(4e-9j))
+    cfg = MetricConfig(1, 2.0)
+    assert distance_lower(target, cfg) == 0.3
+    estimate = distance_upper(target, cfg)
+    assert (estimate.lower, estimate.upper) == (0.3, 0.3)
+    assert estimate.stats.endpoint_error == 0.0
 
 
 @pytest.mark.parametrize("segments", [1, 8])
