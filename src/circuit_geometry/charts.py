@@ -88,18 +88,19 @@ def unitary_exp(hermitian: np.ndarray, t: float = 1.0) -> np.ndarray:
 def phase_aligned_frobenius(a: np.ndarray, b: np.ndarray):
     """``min_phi || a - e^{i phi} b ||_F`` over the last two axes.
 
-    Equals ``sqrt(||a||^2 + ||b||^2 - 2 |tr(a^dagger b)|)``; group elements
-    that differ only by a global phase compare as equal.  Returns a float
-    for two matrices and an array for stacks (leading axes broadcast).
-    A NaN entry gives NaN, so it never counts as reaching a target.
+    The minimizing phase is ``e^{i phi} = conj(t) / |t|`` with
+    ``t = tr(a^dagger b)`` (any phase when ``t`` is 0; 1 is used), and the
+    distance is taken directly from the aligned difference, not from the
+    expansion ``|a|^2 + |b|^2 - 2 |t|``, which cancels and loses half the
+    digits of a small distance.  Group elements that differ only by a global
+    phase compare as equal.  Returns a float for two matrices and an array
+    for stacks (leading axes broadcast).  A NaN entry gives NaN, so it never
+    counts as reaching a target.
     """
-    na = np.sum(np.abs(a) ** 2, axis=(-2, -1))
-    nb = np.sum(np.abs(b) ** 2, axis=(-2, -1))
     trace = np.trace(np.swapaxes(a.conj(), -2, -1) @ b, axis1=-2, axis2=-1)
-    # hypot, not np.abs: numpy's complex absolute rounds differently from
-    # Python's abs(complex), which the unstacked form has always used
-    overlap = np.hypot(trace.real, trace.imag)
-    out = np.sqrt(np.maximum(0.0, na + nb - 2.0 * overlap))
+    # np.angle(0) is 0, so a zero trace aligns with phase 1
+    phase = np.exp(-1j * np.angle(trace))
+    out = np.linalg.norm(a - phase[..., None, None] * b, axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
 
 

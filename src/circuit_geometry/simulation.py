@@ -36,12 +36,15 @@ COUNT_GUARD = 1e-12
 #: counts are known in closed form before anything is allocated.  The gate
 #: count is slices x substeps x nonzero weight-<=2 words, with an empty
 #: substep counted as one gate.  A gate is 16 bytes of sequence storage (an
-#: int position and a float angle) and costs one row gather and two scaled adds
-#: of the state (about 21 us at n = 6 on a 2-core Xeon VM, so the limit is about
-#: 16 MB of columns and 21 s of gate product).  A slice mean holds 4^n - 1
-#: coefficients (32 KB at n = 6), so the slice limit keeps the means within
-#: about 134 MB.  The largest synthesis the benchmark runs (n = 6) has 40
-#: slices and 21,600 gates.
+#: int position and a float angle) and about 75 bytes of gates file at n = 6,
+#: so the limit bounds the columns at 16 MB and the file at about 75 MB.
+#: :func:`gate_product` walks each distinct block once and powers its repeats,
+#: so the limit bounds its time only for a sequence without repeated blocks
+#: (one substep per slice, or a gates file written by hand): a walk of every
+#: gate, about 21 us a gate at n = 6 on a 2-core Xeon VM, or 21 s at the limit.
+#: A slice mean holds 4^n - 1 coefficients (32 KB at n = 6), so the slice
+#: limit keeps the means within about 134 MB.  The largest synthesis the
+#: benchmark runs (n = 6) has 40 slices and 21,600 gates.
 MAX_GATES = 1_000_000
 MAX_SLICES = 4096
 
@@ -203,8 +206,9 @@ def _rotate(state: np.ndarray, angle: float, source: np.ndarray, phase: np.ndarr
             scratch: np.ndarray) -> np.ndarray:
     """Overwrite ``state`` with ``exp(-i angle sigma) @ state`` and return it.
 
-    :func:`gate_product` applies it once per gate; ``source`` and ``phase``
-    are the row of :func:`word_actions` at the gate's position, so
+    :func:`gate_product` applies it once per gate of each distinct block;
+    ``source`` and ``phase`` are the row of :func:`word_actions` at the
+    gate's position, so
     ``sigma @ state == phase[:, None] * state[source]``.  The exponential
     closes in two terms, ``cos(angle) I - i sin(angle) sigma``, because
     ``sigma`` is involutory.  ``sigma @ state`` is exact, so each entry is two
@@ -309,14 +313,47 @@ def synthesize_gates(means, delta: float, config: MetricConfig) -> GateSequence:
     return GateSequence(config.n, np.concatenate(gates), np.concatenate(angles), delta)
 
 
+def _block_runs(gates: np.ndarray, angles: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(lo, hi, count)`` per run of equal blocks, in order: gates ``lo:hi``
+    are one block, and it repeats ``count`` times back to back.
+
+    A block is a maximal stretch of strictly increasing positions, as
+    :func:`synthesize_gates` emits each substep; a run is a stretch of
+    adjacent blocks equal in positions and angles.
+    """
+    if gates.size == 0:
+        return []
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(gates) <= 0) + 1, [gates.size]))
+    lengths = np.diff(edges)
+    # a block repeats its predecessor when it is as long and each gate equals
+    # the gate one block earlier
+    same_length = np.repeat(np.concatenate(([False], lengths[1:] == lengths[:-1])), lengths)
+    earlier = np.where(same_length, np.arange(gates.size) - np.repeat(lengths, lengths), 0)
+    match = same_length & (gates == gates[earlier]) & (angles == angles[earlier])
+    firsts = np.flatnonzero(~np.logical_and.reduceat(match, edges[:-1]))
+    counts = np.diff(np.append(firsts, lengths.size))
+    return list(zip(edges[firsts].tolist(), edges[firsts + 1].tolist(), counts.tolist()))
+
+
 def gate_product(sequence: GateSequence) -> Unitary:
-    """Ordered product of the gates (later gates multiply on the left)."""
+    """Ordered product of the gates (later gates multiply on the left).
+
+    A block that runs once is applied to the state gate by gate.  A block
+    repeated ``r`` times (the substeps of a slice, and of adjacent slices
+    with one mean) is formed once from the identity and applied as its
+    ``r``-th matrix power.
+    """
     dim = 2**sequence.n
     source, phase = word_actions(sequence.n)
+    gates, angles = sequence.gates.tolist(), sequence.angles.tolist()
     state = np.eye(dim, dtype=complex)
     scratch = np.empty_like(state)
-    for k, angle in zip(sequence.gates.tolist(), sequence.angles.tolist()):
-        _rotate(state, angle, source[k], phase[k], scratch)
+    for lo, hi, count in _block_runs(sequence.gates, sequence.angles):
+        block = state if count == 1 else np.eye(dim, dtype=complex)
+        for k, angle in zip(gates[lo:hi], angles[lo:hi]):
+            _rotate(block, angle, source[k], phase[k], scratch)
+        if count > 1:
+            state = np.linalg.matrix_power(block, count) @ state
     return Unitary(sequence.n, state)
 
 

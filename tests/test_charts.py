@@ -198,6 +198,19 @@ def test_phase_aligned_frobenius():
     assert abs(phase_aligned_frobenius(u, v) - phase_aligned_frobenius(v, u)) < 1e-12
 
 
+def test_phase_aligned_frobenius_keeps_the_digits_of_a_small_distance():
+    # ||exp(-i t X) - I||_F is 2 sqrt(2) sin(t / 2) once aligned; the expansion
+    # |a|^2 + |b|^2 - 2|tr a^dagger b| would leave only rounding at t = 1e-9
+    for t in (1e-9, 1e-5, 0.3):
+        rotation = np.cos(t) * np.eye(2) - 1j * np.sin(t) * PauliString("X").matrix()
+        want = 2.0 * np.sqrt(2.0) * np.sin(t / 2.0)
+        assert phase_aligned_frobenius(rotation, np.eye(2)) == pytest.approx(want, rel=1e-12)
+    # a zero trace leaves every phase optimal: the distance is sqrt(|a|^2 + |b|^2)
+    x, z = PauliString("X").matrix(), PauliString("Z").matrix()
+    assert phase_aligned_frobenius(x, z) == 2.0
+    assert np.array_equal(phase_aligned_frobenius(np.stack([x, x]), z), [2.0, 2.0])
+
+
 def test_phase_aligned_frobenius_propagates_nan():
     # a NaN endpoint must never read as distance 0, i.e. as reaching the target
     nan = np.full((2, 2), np.nan)

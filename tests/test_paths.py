@@ -336,7 +336,15 @@ def test_a_determinant_error_that_unitary_admits_leaves_the_bracket_exact():
     assert distance_lower(target, cfg) == 0.3
     estimate = distance_upper(target, cfg)
     assert (estimate.lower, estimate.upper) == (0.3, 0.3)
-    assert estimate.stats.endpoint_error == 0.0
+    assert estimate.stats.endpoint_error <= 1e-15
+
+
+def test_a_witness_that_reaches_its_target_reports_an_endpoint_error_at_rounding_level():
+    # the witness reaches exp_coords(0.3 X, I) exp(4e-9 i) to about 1e-16 per entry;
+    # the expanded distance formula read that as 2.98e-08
+    rotation = exp_coords(CoeffVector.from_words(1, {"X": 0.3}), identity(1))
+    target = Unitary(1, rotation.matrix * np.exp(4e-9j))
+    assert distance_upper(target, MetricConfig(1, 2.0)).stats.endpoint_error <= 1e-15
 
 
 @pytest.mark.parametrize("segments", [1, 8])

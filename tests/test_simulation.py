@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circuit_geometry import (
     CoeffVector,
@@ -293,7 +295,69 @@ def test_gate_product_matches_dense_loop_on_a_six_qubit_chain():
     schedule = schedule_from_dict(chain_schedule(np.random.default_rng(11), 6, 0.5))
     sequence = _synthesize(schedule, MetricConfig(6, 64.0), 0.25)
     assert sequence.gates.size == 2 * 4 * 27
-    assert np.array_equal(gate_product(sequence).matrix, dense_gate_product(sequence))
+    # one substep block runs once, so it is walked gate by gate
+    block = GateSequence(6, sequence.gates[:27], sequence.angles[:27], 0.25)
+    assert np.array_equal(gate_product(block).matrix, dense_gate_product(block))
+    # the full product takes each slice's block to its fourth power
+    assert np.max(np.abs(gate_product(sequence).matrix - dense_gate_product(sequence))) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    blocks=st.lists(st.tuples(st.lists(st.integers(0, 20), min_size=1, max_size=6), st.integers(0, 3)),
+                    min_size=1, max_size=3),
+    tiling=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), max_size=6),
+    delta=st.floats(0.05, 3.0),
+)
+@example(n=2, blocks=[([0], 0)], tiling=[], delta=0.5)  # the empty sequence
+@example(n=2, blocks=[([0, 2], 0)], tiling=[(0, 3), (0, 2)], delta=0.5)  # adjacent equal slices
+@example(n=1, blocks=[([1], 0), ([1], 1)], tiling=[(0, 2), (1, 1), (0, 3)], delta=0.3)  # single words
+@example(n=2, blocks=[([0, 2], 0), ([0, 2, 5], 0)], tiling=[(0, 2), (1, 2), (0, 1)], delta=0.5)  # prefix
+@example(n=2, blocks=[([0, 2], 0), ([0, 2], 1)], tiling=[(0, 2), (1, 3)], delta=0.4)  # angles differ
+@example(n=2, blocks=[([3, 4], 2)], tiling=[(0, 3)], delta=1.0)  # one substep per slice
+@example(n=1, blocks=[([0], 0), ([1], 0), ([0, 1], 0)], tiling=[(0, 1), (1, 1), (2, 1)], delta=1.0)
+def test_gate_product_of_tiled_blocks_matches_the_dense_walk(n, blocks, tiling, delta):
+    # a block is sorted word positions with angles fixed by (position, seed), so two
+    # blocks with one seed agree on the words they share; each slice tiles its block
+    # m = ceil(1/delta) times, as synthesis does
+    local = np.flatnonzero(weight_vector(n) <= 2)
+    pool = []
+    for picks, seed in blocks:
+        positions = np.unique(local[np.array(picks) % local.size])
+        pool.append((positions, 0.3 * np.sin(0.77 * positions + 1.3 * seed + 0.4)))
+    substeps = int(np.ceil(1.0 / delta - simulation.COUNT_GUARD))
+    gates, angles = [np.empty(0, dtype=int)], [np.empty(0)]
+    for index, slices in tiling:
+        positions, block_angles = pool[index % len(pool)]
+        gates.append(np.tile(positions, slices * substeps))
+        angles.append(np.tile(block_angles, slices * substeps))
+    sequence = GateSequence(n, np.concatenate(gates), np.concatenate(angles), delta)
+    product = gate_product(sequence)
+    assert isinstance(product, Unitary) and product.n == n
+    assert np.max(np.abs(product.matrix - dense_gate_product(sequence))) <= 1e-12
+
+
+def test_gate_product_forms_each_distinct_run_once(monkeypatch):
+    # bench-shaped: 40 slices of 20 substeps of 27 words, four distinct slice means
+    config = MetricConfig(6, 64.0)
+    schedule = schedule_from_dict(chain_schedule(np.random.default_rng(11), 6, 2.0))
+    means = [CoeffVector(6, row) for row, tau in project_schedule(schedule, config).segments for _ in range(10)]
+    sequence = synthesize_gates(means, 0.05, config)
+    assert sequence.gates.size == 21_600
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _rotate(*args)
+
+    monkeypatch.setattr(simulation, "_rotate", counting)
+    gate_product(sequence)
+    assert len(calls) == 4 * 27
+    # a synthesized schedule walks at most one block per slice, whatever its means' last bits
+    calls.clear()
+    gate_product(_synthesize(schedule, config, 0.05))
+    assert 4 * 27 <= len(calls) <= 40 * 27
 
 
 def test_gate_product_empty():
