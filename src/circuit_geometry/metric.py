@@ -84,7 +84,8 @@ class PenaltyNorm:
             raise DomainError(
                 f"expected last dimension {self.dimension}, got shape {values.shape}"
             )
-        out = np.sqrt(np.sum(np.square(self.weights * values), axis=-1))
+        scaled = self.weights * values
+        out = np.sqrt(np.sum(np.square(scaled, out=scaled), axis=-1))
         return float(out) if isinstance(y, CoeffVector) else out
 
     def __repr__(self) -> str:

@@ -171,14 +171,16 @@ def slice_edges(duration: float, delta: float) -> np.ndarray:
     return edges
 
 
-def _integral(schedule: Schedule, lo: float, hi: float) -> np.ndarray:
-    """Exact integral of the signal over ``[lo, hi]``."""
+def _mean(schedule: Schedule, lo: float, hi: float) -> np.ndarray:
+    """Exact mean of the signal over ``[lo, hi]``: inside one segment, that segment's row."""
     interior = schedule.times[(schedule.times > lo) & (schedule.times < hi)]
+    if interior.size == 0:
+        return schedule.value_at(lo)
     knots = np.concatenate(([lo], interior, [hi]))
     total = np.zeros(schedule.values.shape[1])
     for a, b in zip(knots[:-1], knots[1:]):
         total += (b - a) * schedule.value_at(a)
-    return total
+    return total / (hi - lo)
 
 
 def slice_mean(schedule: Schedule, delta: float) -> list[CoeffVector]:
@@ -186,12 +188,11 @@ def slice_mean(schedule: Schedule, delta: float) -> list[CoeffVector]:
 
     Integrals are taken piece by piece between sample times, so the means
     are exact; the truncated final slice is averaged over its true width.
+    A slice inside one segment gets that segment's row bit for bit, so
+    equal slices have equal means.
     """
     edges = slice_edges(schedule.duration, delta)
-    means = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        means.append(CoeffVector(schedule.n, _integral(schedule, lo, hi) / (hi - lo)))
-    return means
+    return [CoeffVector(schedule.n, _mean(schedule, lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def project_schedule(schedule: Schedule, config: MetricConfig) -> Schedule:
@@ -413,9 +414,10 @@ def _synthesize(schedule: Schedule, config: MetricConfig, delta: float) -> GateS
             f"the limit is {MAX_SLICES} slices and {MAX_GATES} gates"
         )
     means = slice_mean(projected, delta)
-    # every slice is synthesized delta long: rescale the truncated last one to its width
-    edges = slice_edges(schedule.duration, delta)
-    means[-1] = CoeffVector(config.n, means[-1].values * ((edges[-1] - edges[-2]) / delta))
+    # every slice is synthesized delta long: rescale the truncated last one to its
+    # width in slices, which is exactly 1 when the duration is a float multiple of delta
+    width = schedule.duration / delta - (len(means) - 1)
+    means[-1] = CoeffVector(config.n, means[-1].values * width)
     return synthesize_gates(means, delta, config)
 
 

@@ -1,5 +1,9 @@
 """Distortion sampling, sandwich checks, and count brackets."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,9 @@ from circuit_geometry import (
     simulate,
 )
 from circuit_geometry import bounds, simulation
+from circuit_geometry.bounds import _strata
+from circuit_geometry.metric import _evaluate
+from circuit_geometry.seeding import substream
 from util import random_coeffs
 
 
@@ -130,6 +137,108 @@ def test_estimate_distortion_independent_of_chunk_size(monkeypatch):
     expected = estimate_distortion(norm, 3, 300, seed=5)
     monkeypatch.setattr(bounds, "SAMPLE_CHUNK", 7)
     assert estimate_distortion(norm, 3, 300, seed=5) == expected
+
+
+def _reference_estimate(norm, n, samples, seed=0):
+    """The serial sampler: draw, stratify and evaluate one chunk after another."""
+    dimension = 4**n - 1
+    strata = _strata(norm, dimension)
+    rng = substream(seed, "distortion")
+    low = np.inf
+    high = -np.inf
+    produced = 0
+    while produced < samples:
+        count = min(bounds.SAMPLE_CHUNK, samples - produced)
+        draws = rng.standard_normal((count, dimension))
+        stratum = (produced + np.arange(count)) % len(strata)
+        for index, mask in enumerate(strata):
+            if mask is None:
+                continue
+            rows = stratum == index
+            if rows.any():
+                draws[np.ix_(rows, ~mask)] = 0.0
+        lengths = np.sqrt(np.sum(np.square(draws), axis=-1))
+        if np.any(lengths == 0.0):
+            raise EvaluationError("degenerate zero draw; change the seed")
+        ratios = _evaluate(norm, draws) / lengths
+        if not np.all(np.isfinite(ratios)):
+            raise EvaluationError("norm evaluated to a non-finite ratio")
+        low = min(low, float(np.min(ratios)))
+        high = max(high, float(np.max(ratios)))
+        produced += count
+    return (low, high)
+
+
+def _anisotropic(n):
+    scale = np.linspace(0.3, 2.9, 4**n - 1)
+
+    def norm(points):
+        return np.sqrt(np.sum(np.square(points * scale), axis=-1))
+
+    return norm
+
+
+def _row_wise(n):
+    # refuses a batch, so the sampler evaluates it one row at a time
+    batched = _anisotropic(n)
+
+    def norm(point):
+        if np.ndim(point) != 1:
+            raise TypeError("one point at a time")
+        return float(batched(point))
+
+    return norm
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_estimate_distortion_matches_the_serial_sampler_bit_for_bit(monkeypatch, n, chunk):
+    # p = 3.7 is not a power of two, so the extremes carry rounding from particular draws
+    monkeypatch.setattr(bounds, "SAMPLE_CHUNK", chunk)
+    for norm in (PenaltyNorm(MetricConfig(n, 3.7)), _anisotropic(n), _row_wise(n)):
+        for samples in (1, 2, 3, 1300):
+            seed = 10 * n + samples
+            assert estimate_distortion(norm, n, samples, seed) == _reference_estimate(norm, n, samples, seed)
+
+
+def test_concurrent_samplers_match_the_serial_sampler(monkeypatch):
+    # four samplers, each with its own worker, on two cores with frequent thread switches
+    monkeypatch.setattr(bounds, "SAMPLE_CHUNK", 3)
+    norm = PenaltyNorm(MetricConfig(3, 3.7))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            estimates = list(pool.map(lambda seed: estimate_distortion(norm, 3, 600, seed), range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert estimates == [_reference_estimate(norm, 3, 600, seed) for seed in range(4)]
+
+
+def test_chunked_draws_fill_the_single_stream():
+    whole = substream(5, "distortion").standard_normal((1300, 63))
+    rng = substream(5, "distortion")
+    chunked = np.empty((1300, 63))
+    for lo in range(0, 1300, 512):
+        rng.standard_normal(out=chunked[lo : lo + 512])
+    assert np.array_equal(chunked, whole)
+
+
+def test_a_failing_norm_propagates_and_stops_the_worker(monkeypatch):
+    monkeypatch.setattr(bounds, "SAMPLE_CHUNK", 16)
+    calls = []
+
+    def failing(points):
+        calls.append(len(points))
+        if len(calls) == 2:
+            raise RuntimeError("second chunk")
+        return _euclidean(points)
+
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="second chunk"):
+        estimate_distortion(failing, 2, 100, seed=1)
+    assert calls == [16, 16]
+    assert threading.active_count() == threads
 
 
 def test_estimate_distortion_deterministic():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -413,6 +414,42 @@ def test_interrupted_run_exits_130(runner, tmp_path, monkeypatch):
     assert result.exit_code == 130
     assert "error: interrupted" in result.stderr
     assert not (tmp_path / "r.json").exists()
+
+
+#: Child-interpreter script that runs ``cgeo`` and says "sampling" on stderr
+#: once the distortion sampler starts.
+ANNOUNCED_SAMPLER_CGEO = (
+    "import sys\n"
+    "from circuit_geometry import cli\n"
+    "sampler = cli.estimate_distortion\n"
+    "def announced(*args):\n"
+    "    print('sampling', file=sys.stderr, flush=True)\n"
+    "    return sampler(*args)\n"
+    "cli.estimate_distortion = announced\n"
+    "cli.main(prog_name='cgeo')\n"
+)
+
+
+def test_sigint_stops_the_sampler_and_its_worker(tmp_path):
+    # a million n = 6 draws run for about a minute; SIGINT lands while the worker draws
+    report = tmp_path / "r.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ANNOUNCED_SAMPLER_CGEO, "distortion", "--n", "6",
+         "--samples", "1000000", "--out", str(report)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=subprocess_env(),
+    )
+    try:
+        assert proc.stderr.readline() == "sampling\n"
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, stderr
+    assert "error: interrupted" in stderr
+    assert stdout == ""
+    assert not report.exists()
 
 
 #: Values the fuzz writes over entries of a valid file: numbers (NaN,

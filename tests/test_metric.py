@@ -1,5 +1,7 @@
 """Penalty norm, distortion constants, and empirical Minkowski-norm checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,21 @@ def test_penalty_norm_callable():
     assert norm.penalized_mask.sum() == 63 - cfg.k
     with pytest.raises(DomainError):
         norm(np.zeros(10))
+
+
+def test_penalty_norm_allocates_one_batch_sized_temporary():
+    # the scaled copy is squared in place: one (512, 4095) temporary, not two
+    norm = PenaltyNorm(MetricConfig(6, 64.0))
+    batch = np.random.default_rng(2).normal(size=(512, 4095))
+    expected = np.sqrt(np.sum(np.square(norm.weights * batch), axis=-1))
+    tracemalloc.start()
+    try:
+        values = norm(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values, expected)
+    assert peak <= 1.1 * batch.nbytes
 
 
 def test_distortion_constants():

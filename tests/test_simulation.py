@@ -128,6 +128,15 @@ def test_slice_mean_constant():
         assert np.array_equal(mean.values, XI_ZZ.values)
 
 
+def test_slice_mean_inside_a_segment_is_the_segment_row():
+    # widths such as 0.15000000000000002 - 0.1 would round (w * row) / w in its last bit
+    schedule = schedule_from_dict(chain_schedule(np.random.default_rng(11), 3, 2.0))
+    means = slice_mean(schedule, 0.05)
+    assert len(means) == 40
+    for index, mean in enumerate(means):
+        assert np.array_equal(mean.values, schedule.values[index // 10]), index
+
+
 def test_slice_mean_two_halves_exact():
     a = np.array([0.3, 0.0, -1.1])
     b = np.array([0.7, 0.4, 0.1])
@@ -354,10 +363,11 @@ def test_gate_product_forms_each_distinct_run_once(monkeypatch):
     monkeypatch.setattr(simulation, "_rotate", counting)
     gate_product(sequence)
     assert len(calls) == 4 * 27
-    # a synthesized schedule walks at most one block per slice, whatever its means' last bits
+    # a synthesized schedule forms one run per segment: its slice means are the
+    # segment rows bit for bit, and its full last slice is not rescaled
     calls.clear()
     gate_product(_synthesize(schedule, config, 0.05))
-    assert 4 * 27 <= len(calls) <= 40 * 27
+    assert len(calls) == 4 * 27
 
 
 def test_gate_product_empty():
