@@ -14,19 +14,18 @@ import numpy as np
 
 from .charts import Unitary, log_coords
 from .errors import DomainError, EvaluationError, ValidationError
-from .metric import MetricConfig, PenaltyNorm, _evaluate
+from .metric import MetricConfig, PenaltyNorm
 from .seeding import substream
 from .simulation import Schedule, SimulationResult, _synthesize
 
 #: Slack applied on both sides of a bound before declaring failure.
 PASS_TOL = 1e-9
 
-#: Draws processed per batch by the distortion sampler.  A batch holds
-#: ``SAMPLE_CHUNK * (4^n - 1)`` floats, 16.8 MB at n = 6.  The sampler keeps
-#: two draw buffers and one scratch buffer of that size, about 50 MB at n = 6,
-#: and :class:`PenaltyNorm` allocates one more temporary.  The draw stream and
-#: the strata do not depend on the batch size, so neither do the results.
-SAMPLE_CHUNK = 512
+#: Samples drawn per block by the distortion sampler.  A block holds two sums
+#: of squares per sample, 1 MB at 2^16 rows whatever n is, so memory stays
+#: bounded for any sample count.  The draw stream and the strata do not
+#: depend on the block size, so neither do the results.
+SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,74 +65,52 @@ class BoundReport:
         }
 
 
-def _strata(norm, dimension: int):
-    """Coordinate-block masks the sampler cycles through.
-
-    Norms that expose ``penalized_mask`` (notably :class:`PenaltyNorm`)
-    get three strata: unrestricted draws, draws confined to the
-    unpenalized block, and draws confined to the penalized block.  The
-    restricted draws are still unit vectors after normalization, so they
-    stay inside the admissible sample set; they simply guarantee the
-    extremal directions appear.  Other norms sample isotropically only.
-    """
-    mask = getattr(norm, "penalized_mask", None)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape == (dimension,) and mask.any() and not mask.all():
-            return [None, ~mask, mask]
-    return [None]
-
-
 def estimate_distortion(norm, n: int, samples: int, seed: int = 0) -> tuple[float, float]:
-    """Sampled extrema of ``norm(y) / |y|`` over unit tangent directions.
+    """Sampled extrema of ``F_p(y) / |y|`` over Gaussian tangent directions ``y``.
 
-    Directions are normalized Gaussian draws from a single seeded stream;
-    the ratio is computed on the raw draw (it is scale-invariant for a
-    homogeneous norm), and the k-th draw depends only on the seed and k,
-    so enlarging ``samples`` only widens the returned interval.
+    A draw enters the ratio only through its sums of squares ``S_u`` on the
+    unpenalized block (k words) and ``S_p`` on the penalized block
+    (4^n - 1 - k words): ``F_p(y)^2 / |y|^2 = (S_u + p^2 S_p) / (S_u + S_p)``.
+    For a Gaussian draw these are independent chi-square variates with k and
+    4^n - 1 - k degrees of freedom, so the sampler draws only those two
+    numbers, from a single seeded stream in blocks of :data:`SAMPLE_CHUNK`.
 
-    Draws come in chunks of :data:`SAMPLE_CHUNK` rows.  One worker thread
-    draws the next chunk while this one evaluates the current chunk, and it
-    alone draws from the stream, in chunk order, so the results depend
-    neither on thread timing nor on the chunk size.
+    Sample i is unrestricted, confined to the unpenalized block or confined
+    to the penalized block as ``i % 3`` is 0, 1 or 2, so the extremal
+    directions appear; at n <= 2 there is no penalized block and every sample
+    is unrestricted.  The i-th sample depends only on the seed and i, so
+    enlarging ``samples`` only widens the returned interval.
 
-    Returns ``(m_hat, M_hat)``; both lie inside the true distortion
-    envelope up to the norm's own homogeneity error.
+    ``norm`` must be the :class:`PenaltyNorm` of an ``n``-qubit configuration.
+    Returns ``(m_hat, M_hat)``, inside the exact ``(1, p)`` up to rounding.
     """
-    # imported here, not at the top: concurrent.futures loads logging, about
-    # 8 ms that every other command would pay at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
+    if not isinstance(norm, PenaltyNorm):
+        raise DomainError(f"the distortion sampler takes a PenaltyNorm, got {type(norm).__name__}")
+    if n != norm.config.n:
+        raise DomainError(f"qubit count {n} does not match the norm's {norm.config.n}")
     if samples < 1:
         raise DomainError(f"sample count must be positive, got {samples}")
-    dimension = 4**n - 1
-    strata = _strata(norm, dimension)
+    k = norm.config.k
+    penalized = 4**n - 1 - k
+    strata = 3 if penalized else 1
+    p_squared = norm.config.p * norm.config.p
     rng = substream(seed, "distortion")
-    rows = min(SAMPLE_CHUNK, samples)
-    buffers = np.empty((2, rows, dimension))
-    scratch = np.empty((rows, dimension))
     low = np.inf
     high = -np.inf
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(rng.standard_normal, out=buffers[0])
-        for chunk, produced in enumerate(range(0, samples, rows)):
-            count = min(rows, samples - produced)
-            draws = pending.result()
-            if produced + count < samples:
-                ahead = min(rows, samples - produced - count)
-                pending = worker.submit(rng.standard_normal, out=buffers[1 - chunk % 2, :ahead])
-            # draw produced + r belongs to stratum (produced + r) % len(strata)
-            for index, mask in enumerate(strata):
-                if mask is not None:
-                    np.copyto(draws[(index - produced) % len(strata) :: len(strata)], 0.0, where=~mask)
-            lengths = np.sqrt(np.sum(np.square(draws, out=scratch[:count]), axis=-1))
-            if np.any(lengths == 0.0):
-                raise EvaluationError("degenerate zero draw; change the seed")
-            ratios = _evaluate(norm, draws) / lengths
-            if not np.all(np.isfinite(ratios)):
-                raise EvaluationError("norm evaluated to a non-finite ratio")
-            low = min(low, float(np.min(ratios)))
-            high = max(high, float(np.max(ratios)))
+    for produced in range(0, samples, SAMPLE_CHUNK):
+        count = min(SAMPLE_CHUNK, samples - produced)
+        sums = 2.0 * rng.standard_gamma([k / 2, penalized / 2], size=(count, 2))
+        stratum = (produced + np.arange(count)) % strata
+        sums[stratum == 1, 1] = 0.0
+        sums[stratum == 2, 0] = 0.0
+        lengths = sums[:, 0] + sums[:, 1]
+        if np.any(lengths == 0.0):
+            raise EvaluationError("degenerate zero draw; change the seed")
+        ratios = np.sqrt((sums[:, 0] + p_squared * sums[:, 1]) / lengths)
+        if not np.all(np.isfinite(ratios)):
+            raise EvaluationError("penalty norm evaluated to a non-finite ratio")
+        low = min(low, float(np.min(ratios)))
+        high = max(high, float(np.max(ratios)))
     return (low, high)
 
 

@@ -21,11 +21,6 @@ DET_TOL = 1e-8
 BRANCH_GAP = 1e-8
 ROUNDTRIP_TOL = 1e-9
 
-#: Euclidean coordinate radius beyond which chart points are rejected; the
-#: principal ball never extends past |theta| = pi in any eigenphase.
-CHART_RADIUS = float(np.pi)
-
-
 @dataclass(frozen=True, eq=False)
 class Unitary:
     """Element of SU(2^n) held as a dense matrix.
@@ -184,29 +179,3 @@ def chart_segment_rho(x_from: Unitary, x_to: Unitary) -> float:
     right leaves the value unchanged.
     """
     return log_coords(x_to, x_from).norm
-
-
-@dataclass(frozen=True, eq=False)
-class ChartPoint:
-    """A group element carried in the chart of a base point."""
-
-    base: Unitary
-    coords: CoeffVector
-
-    def __post_init__(self):
-        if self.base.n != self.coords.n:
-            raise ValidationError(
-                f"base qubit count {self.base.n} does not match coordinates {self.coords.n}"
-            )
-        if self.coords.norm >= CHART_RADIUS:
-            raise ValidationError(
-                f"coordinate norm {self.coords.norm:.6f} is not below pi; "
-                "outside the principal chart ball"
-            )
-
-    @classmethod
-    def from_group_point(cls, base: Unitary, x: Unitary) -> "ChartPoint":
-        return cls(base, log_coords(x, base))
-
-    def to_group_point(self) -> Unitary:
-        return exp_coords(self.coords, self.base)

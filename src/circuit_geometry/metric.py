@@ -60,8 +60,7 @@ class PenaltyNorm:
 
     Called on a :class:`CoeffVector` it returns a Python float; called on an
     array it batches over the leading axes (coordinates on the last axis).
-    It also exposes the coordinate partition, which samplers use to stratify
-    draws between the unit and penalty blocks.
+    It also exposes the coordinate partition as ``penalized_mask``.
     """
 
     def __init__(self, config: MetricConfig):

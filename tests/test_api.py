@@ -9,6 +9,8 @@ import circuit_geometry
 #: Names deleted when each job was left with a single public entry point, and
 #: the "infeasible" outcome, which no target has once every target gets a bracket.
 REMOVED = {
+    "bounds": ["_strata"],
+    "charts": ["ChartPoint", "CHART_RADIUS"],
     "cli": ["EXIT_INFEASIBLE"],
     "errors": ["InfeasibleError"],
     "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values"],

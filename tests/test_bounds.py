@@ -1,11 +1,8 @@
 """Distortion sampling, sandwich checks, and count brackets."""
 
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from circuit_geometry import (
     BoundReport,
@@ -33,8 +30,6 @@ from circuit_geometry import (
     simulate,
 )
 from circuit_geometry import bounds, simulation
-from circuit_geometry.bounds import _strata
-from circuit_geometry.metric import _evaluate
 from circuit_geometry.seeding import substream
 from util import random_coeffs
 
@@ -45,10 +40,6 @@ def _coeffs(n, words):
     for word, value in words.items():
         values[index[word]] = value
     return CoeffVector(n, values)
-
-
-def _euclidean(points):
-    return np.sqrt(np.sum(np.square(points), axis=-1))
 
 
 def test_bound_report_derives_passed():
@@ -83,7 +74,8 @@ def test_bound_report_slack_and_dict():
 
 
 def test_estimate_distortion_euclidean_is_exactly_one():
-    assert estimate_distortion(_euclidean, 2, 2000, seed=3) == (1.0, 1.0)
+    # at n <= 2 every word has weight at most 2, so F_p is the Euclidean norm
+    assert estimate_distortion(PenaltyNorm(MetricConfig(2, 5.0)), 2, 2000, seed=3) == (1.0, 1.0)
 
 
 def test_estimate_distortion_penalty_hits_both_extremes():
@@ -99,17 +91,6 @@ def test_estimate_distortion_stays_inside_envelope():
         low, high = estimate_distortion(PenaltyNorm(config), n, 4000, seed=n)
         m_exact, big_m_exact = distortion_constants(config)
         assert m_exact <= low <= high <= big_m_exact + 1e-12
-
-
-def test_estimate_distortion_quadratic_form():
-    scale = np.array([0.5, 1.0, 2.0])
-
-    def norm(points):
-        return np.sqrt(np.sum(np.square(points * scale), axis=-1))
-
-    low, high = estimate_distortion(norm, 1, 20000, seed=7)
-    assert low == pytest.approx(0.5, rel=0.02)
-    assert high == pytest.approx(2.0, rel=0.02)
 
 
 def test_estimate_distortion_monotone_in_samples():
@@ -133,112 +114,74 @@ def test_estimate_distortion_prefix_across_chunk_boundary():
 
 
 def test_estimate_distortion_independent_of_chunk_size(monkeypatch):
-    norm = PenaltyNorm(MetricConfig(3, 2.0))
+    norm = PenaltyNorm(MetricConfig(3, 3.7))
     expected = estimate_distortion(norm, 3, 300, seed=5)
     monkeypatch.setattr(bounds, "SAMPLE_CHUNK", 7)
     assert estimate_distortion(norm, 3, 300, seed=5) == expected
 
 
 def _reference_estimate(norm, n, samples, seed=0):
-    """The serial sampler: draw, stratify and evaluate one chunk after another."""
+    """Gaussian oracle: normalize whole draws, stratified by ``penalized_mask``, and evaluate the norm."""
     dimension = 4**n - 1
-    strata = _strata(norm, dimension)
+    mask = norm.penalized_mask
+    strata = [None, ~mask, mask] if mask.any() else [None]
     rng = substream(seed, "distortion")
     low = np.inf
     high = -np.inf
     produced = 0
     while produced < samples:
-        count = min(bounds.SAMPLE_CHUNK, samples - produced)
+        count = min(512, samples - produced)
         draws = rng.standard_normal((count, dimension))
         stratum = (produced + np.arange(count)) % len(strata)
-        for index, mask in enumerate(strata):
-            if mask is None:
+        for index, keep in enumerate(strata):
+            if keep is None:
                 continue
             rows = stratum == index
             if rows.any():
-                draws[np.ix_(rows, ~mask)] = 0.0
+                draws[np.ix_(rows, ~keep)] = 0.0
         lengths = np.sqrt(np.sum(np.square(draws), axis=-1))
         if np.any(lengths == 0.0):
             raise EvaluationError("degenerate zero draw; change the seed")
-        ratios = _evaluate(norm, draws) / lengths
-        if not np.all(np.isfinite(ratios)):
-            raise EvaluationError("norm evaluated to a non-finite ratio")
+        ratios = norm(draws) / lengths
         low = min(low, float(np.min(ratios)))
         high = max(high, float(np.max(ratios)))
         produced += count
     return (low, high)
 
 
-def _anisotropic(n):
-    scale = np.linspace(0.3, 2.9, 4**n - 1)
-
-    def norm(points):
-        return np.sqrt(np.sum(np.square(points * scale), axis=-1))
-
-    return norm
-
-
-def _row_wise(n):
-    # refuses a batch, so the sampler evaluates it one row at a time
-    batched = _anisotropic(n)
-
-    def norm(point):
-        if np.ndim(point) != 1:
-            raise TypeError("one point at a time")
-        return float(batched(point))
-
-    return norm
-
-
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_estimate_distortion_matches_the_serial_sampler_bit_for_bit(monkeypatch, n, chunk):
-    # p = 3.7 is not a power of two, so the extremes carry rounding from particular draws
+    # for a power-of-two p both samplers round the confined directions to
+    # exactly 1 and p and keep every other ratio inside [1, p]; at n <= 2
+    # every ratio is exactly 1
     monkeypatch.setattr(bounds, "SAMPLE_CHUNK", chunk)
-    for norm in (PenaltyNorm(MetricConfig(n, 3.7)), _anisotropic(n), _row_wise(n)):
-        for samples in (1, 2, 3, 1300):
-            seed = 10 * n + samples
-            assert estimate_distortion(norm, n, samples, seed) == _reference_estimate(norm, n, samples, seed)
+    norm = PenaltyNorm(MetricConfig(n, 4.0))
+    for samples in (3, 4, 1300):
+        seed = 10 * n + samples
+        expected = _reference_estimate(norm, n, samples, seed)
+        assert expected == ((1.0, 4.0) if n > 2 else (1.0, 1.0))
+        assert estimate_distortion(norm, n, samples, seed) == expected
 
 
-def test_concurrent_samplers_match_the_serial_sampler(monkeypatch):
-    # four samplers, each with its own worker, on two cores with frequent thread switches
-    monkeypatch.setattr(bounds, "SAMPLE_CHUNK", 3)
-    norm = PenaltyNorm(MetricConfig(3, 3.7))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            estimates = list(pool.map(lambda seed: estimate_distortion(norm, 3, 600, seed), range(4)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert estimates == [_reference_estimate(norm, 3, 600, seed) for seed in range(4)]
+def test_estimate_distortion_matches_the_gaussian_oracle_in_distribution():
+    # with one sample, each estimate is the unrestricted ratio of one draw
+    norm = PenaltyNorm(MetricConfig(3, 2.5))
+    seeds = range(2000)
+    sampled = [estimate_distortion(norm, 3, 1, seed)[0] for seed in seeds]
+    oracle = [_reference_estimate(norm, 3, 1, seed)[0] for seed in seeds]
+    assert ks_2samp(sampled, oracle).pvalue > 1e-3
 
 
 def test_chunked_draws_fill_the_single_stream():
-    whole = substream(5, "distortion").standard_normal((1300, 63))
+    # the block sums of squares are drawn in row order, so blocks of any
+    # size read one stream
+    shapes = [4.5, 27.0]
+    whole = substream(5, "distortion").standard_gamma(shapes, size=(1300, 2))
     rng = substream(5, "distortion")
-    chunked = np.empty((1300, 63))
-    for lo in range(0, 1300, 512):
-        rng.standard_normal(out=chunked[lo : lo + 512])
+    chunked = np.concatenate([rng.standard_gamma(shapes, size=(min(512, 1300 - lo), 2))
+                              for lo in range(0, 1300, 512)])
     assert np.array_equal(chunked, whole)
-
-
-def test_a_failing_norm_propagates_and_stops_the_worker(monkeypatch):
-    monkeypatch.setattr(bounds, "SAMPLE_CHUNK", 16)
-    calls = []
-
-    def failing(points):
-        calls.append(len(points))
-        if len(calls) == 2:
-            raise RuntimeError("second chunk")
-        return _euclidean(points)
-
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="second chunk"):
-        estimate_distortion(failing, 2, 100, seed=1)
-    assert calls == [16, 16]
-    assert threading.active_count() == threads
 
 
 def test_estimate_distortion_deterministic():
@@ -246,15 +189,35 @@ def test_estimate_distortion_deterministic():
     assert estimate_distortion(norm, 3, 3000, seed=2) == estimate_distortion(norm, 3, 3000, seed=2)
 
 
-def test_estimate_distortion_rejects_bad_inputs():
+def test_estimate_distortion_rejects_bad_inputs(monkeypatch):
+    norm = PenaltyNorm(MetricConfig(2, 2.0))
     with pytest.raises(DomainError):
-        estimate_distortion(_euclidean, 2, 0)
+        estimate_distortion(norm, 2, 0)
 
-    def broken(points):
-        return np.full(points.shape[:-1], np.nan)
+    # p^2 overflows to infinity
+    with np.errstate(invalid="ignore"), pytest.raises(EvaluationError):
+        estimate_distortion(PenaltyNorm(MetricConfig(3, 1e200)), 3, 10)
 
+    class Zeros:
+        def standard_gamma(self, shape, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(bounds, "substream", lambda *args: Zeros())
     with pytest.raises(EvaluationError):
-        estimate_distortion(broken, 1, 10)
+        estimate_distortion(norm, 2, 10)
+
+
+def test_estimate_distortion_refuses_other_norms():
+    def euclidean(points):
+        return np.sqrt(np.sum(np.square(points), axis=-1))
+
+    with pytest.raises(DomainError, match="PenaltyNorm"):
+        estimate_distortion(euclidean, 2, 100)
+
+
+def test_estimate_distortion_refuses_a_mismatched_qubit_count():
+    with pytest.raises(DomainError, match="does not match"):
+        estimate_distortion(PenaltyNorm(MetricConfig(3, 2.0)), 2, 100)
 
 
 def test_segment_distortion_light_target_saturates_lower():

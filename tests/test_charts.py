@@ -6,7 +6,6 @@ import scipy.linalg
 
 from circuit_geometry import (
     BranchCutError,
-    ChartPoint,
     CoeffVector,
     DomainError,
     PauliString,
@@ -172,20 +171,6 @@ def test_segment_rho_right_invariant():
         Unitary(2, a.matrix @ v.matrix), Unitary(2, b.matrix @ v.matrix)
     )
     assert abs(before - after) < 1e-9
-
-
-def test_chart_point_radius():
-    big = CoeffVector(1, np.array([np.pi, 0.0, 0.0]))
-    with pytest.raises(ValidationError):
-        ChartPoint(identity(1), big)
-
-
-def test_chart_point_round_trip():
-    rng = np.random.default_rng(9)
-    base = haar_unitary(rng, 2)
-    x = exp_coords(random_coeffs(rng, 2, scale=0.7), base)
-    point = ChartPoint.from_group_point(base, x)
-    assert np.max(np.abs(point.to_group_point().matrix - x.matrix)) < 1e-10
 
 
 def test_phase_aligned_frobenius():

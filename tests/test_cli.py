@@ -416,6 +416,9 @@ def test_interrupted_run_exits_130(runner, tmp_path, monkeypatch):
     assert not (tmp_path / "r.json").exists()
 
 
+#: Child-interpreter script that runs ``cgeo``.
+CGEO = "from circuit_geometry.cli import main\nmain(prog_name='cgeo')\n"
+
 #: Child-interpreter script that runs ``cgeo`` and says "sampling" on stderr
 #: once the distortion sampler starts.
 ANNOUNCED_SAMPLER_CGEO = (
@@ -430,12 +433,13 @@ ANNOUNCED_SAMPLER_CGEO = (
 )
 
 
-def test_sigint_stops_the_sampler_and_its_worker(tmp_path):
-    # a million n = 6 draws run for about a minute; SIGINT lands while the worker draws
+def test_sigint_stops_the_sampler(tmp_path):
+    # a billion n = 6 samples run for minutes, one 1 MB block after another;
+    # SIGINT lands mid-run, and the run stays under the n = 6 memory cap
     report = tmp_path / "r.json"
     proc = subprocess.Popen(
-        [sys.executable, "-c", ANNOUNCED_SAMPLER_CGEO, "distortion", "--n", "6",
-         "--samples", "1000000", "--out", str(report)],
+        [sys.executable, "-c", _capped_cgeo(N6_MEMORY_CAP, ANNOUNCED_SAMPLER_CGEO), "distortion",
+         "--n", "6", "--samples", "1000000000", "--out", str(report)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=subprocess_env(),
     )
     try:
@@ -593,14 +597,9 @@ def test_console_script_help():
 MEMORY_CAP = 1 << 30
 
 
-def _capped_cgeo(cap):
-    """Child-interpreter script that runs ``cgeo`` with its address space capped at ``cap`` bytes."""
-    return (
-        "import resource\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
-        "from circuit_geometry.cli import main\n"
-        "main(prog_name='cgeo')\n"
-    )
+def _capped_cgeo(cap, script=CGEO):
+    """Child-interpreter ``script`` with its address space capped at ``cap`` bytes."""
+    return f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n{script}"
 
 
 CAPPED_CGEO = _capped_cgeo(MEMORY_CAP)
@@ -650,8 +649,8 @@ def test_oversize_witness_exits_2(tmp_path, segments):
     assert "the limit is 1048576 coefficients" in proc.stderr
 
 
-#: Address-space cap for the n = 6 runs.  A distortion batch of 8192 rows
-#: (268 MB) does not fit under it; the chunked sampler does.
+#: Address-space cap for the n = 6 runs.  An 8192-row batch of whole n = 6
+#: draws (268 MB) does not fit under it; the block-sum sampler holds 1 MB.
 N6_MEMORY_CAP = 576 << 20
 
 
