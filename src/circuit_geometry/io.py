@@ -13,7 +13,8 @@ Three JSON formats cross the package boundary:
 
 Reports are serialized with sorted keys, two-space indentation, and a
 trailing newline, and written atomically, so identical inputs produce
-byte-identical files.
+byte-identical files.  The gates file is written from a template in that
+layout, which a test pins to the json encoder byte for byte.
 """
 
 from __future__ import annotations
@@ -190,7 +191,15 @@ def load_gates(path: str) -> GateSequence:
 
 
 def save_gates(path: str, sequence: GateSequence) -> None:
-    write_report(path, gates_to_dict(sequence))
+    """:func:`write_report` of :func:`gates_to_dict` from a template; json's indenting encoder is pure Python.
+    json too writes floats by ``float.__repr__``; :class:`GateSequence` refuses non-finite ones."""
+    letters = [word.letters for word in enumerate_basis(sequence.n)]
+    pairs = zip(sequence.gates.tolist(), sequence.angles.tolist())
+    body = ",\n".join([f'    {{\n      "angle": {angle!r},\n      "pauli": "{letters[k]}"\n    }}'
+                        for k, angle in pairs])
+    gates = f"[\n{body}\n  ]" if body else "[]"
+    _write_atomic(path, f'{{\n  "delta": {json.dumps(sequence.delta)},\n  "gates": {gates},\n'
+                        f'  "n": {json.dumps(sequence.n)}\n}}\n')
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -199,6 +208,9 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as stream:
             stream.write(text)
+        umask = os.umask(0)  # read by setting it, which is safe: the package starts no threads
+        os.umask(umask)
+        os.chmod(temp_path, 0o666 & ~umask)  # the mode open(path, "w") gives, not mkstemp's 0600
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):

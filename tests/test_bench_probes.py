@@ -22,6 +22,19 @@ TRACER = os.path.join(ROOT, "bench", "tracer.py")
 INPUTS = os.path.join(ROOT, "tests", "golden", "inputs")
 
 
+def _traced(tmp_path, args):
+    """Run ``cgeo args`` under the tracer in a copy of the golden inputs; the spans file."""
+    for entry in os.listdir(INPUTS):
+        shutil.copy(os.path.join(INPUTS, entry), tmp_path)
+    spans = tmp_path / "spans.npz"
+    proc = subprocess.run(
+        [sys.executable, TRACER, str(spans), "--", *args, "--out", "report.json"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120, env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return str(spans)
+
+
 def _probe_counts(spans_path: str) -> dict[str, list[dict]]:
     """Recorded counts, grouped by traced function name."""
     with np.load(spans_path) as data:
@@ -42,14 +55,16 @@ def _probe_counts(spans_path: str) -> dict[str, list[dict]]:
      "bounds.estimate_distortion", {"samples", "chunk_bytes"}),
 ])
 def test_tracer_records_probe_counts(tmp_path, args, traced, keys):
-    for entry in os.listdir(INPUTS):
-        shutil.copy(os.path.join(INPUTS, entry), tmp_path)
-    spans = tmp_path / "spans.npz"
-    proc = subprocess.run(
-        [sys.executable, TRACER, str(spans), "--", *args, "--out", "report.json"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120, env=subprocess_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    recorded = _probe_counts(str(spans)).get(traced, [])
+    recorded = _probe_counts(_traced(tmp_path, args)).get(traced, [])
     assert recorded, f"no counts recorded for {traced}"
     assert all(keys <= set(counts) for counts in recorded)
+
+
+def test_tracer_sees_the_gates_write(tmp_path):
+    # io.write.self_s counts the gates file only while save_gates is the function that writes it
+    spans = _traced(tmp_path, ["simulate", "--schedule", "schedule3.json", "--delta", "0.25",
+                               "--gates-out", "g.json"])
+    with np.load(spans) as data:
+        names = json.loads(str(data["meta"]))["names"]
+        called = {names[index] for index in data["name"]}
+    assert "io.save_gates" in called

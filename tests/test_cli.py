@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from circuit_geometry import (
     cli,
     gate_product,
+    gates_to_dict,
     identity,
     load_gates,
     load_schedule,
@@ -208,6 +209,23 @@ def test_gates_file_reproduces_the_reported_endpoint_error(runner, tmp_path):
     report = _report(out)["results"]
     sequence = load_gates(gates_out)
     assert sequence.gates.size == report["gate_count"]
+    target = schedule_endpoint(load_schedule(schedule)).matrix
+    error = phase_aligned_frobenius(gate_product(sequence).matrix, target) / 2 ** (sequence.n / 2)
+    assert float(error) == report["endpoint_error"]
+
+
+def test_auto_delta_gates_file_is_the_json_encoding_of_its_sequence(runner, tmp_path):
+    schedule = os.path.join(GOLDEN_INPUTS, "schedule3.json")
+    out = str(tmp_path / "sim.json")
+    gates_out = tmp_path / "gates.json"
+    result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "auto",
+                                  "--out", out, "--gates-out", str(gates_out)])
+    assert result.exit_code == 0, result.output
+    sequence = load_gates(str(gates_out))
+    expected = json.dumps(gates_to_dict(sequence), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert gates_out.read_bytes() == expected.encode("utf-8")
+    report = _report(out)["results"]
+    assert sequence.delta == report["delta"] and sequence.gates.size == report["gate_count"]
     target = schedule_endpoint(load_schedule(schedule)).matrix
     error = phase_aligned_frobenius(gate_product(sequence).matrix, target) / 2 ** (sequence.n / 2)
     assert float(error) == report["endpoint_error"]

@@ -1,12 +1,17 @@
 """File formats, loaders, and deterministic report writing."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from circuit_geometry import (
     CoeffVector,
+    GateSequence,
     MetricConfig,
     Schedule,
     ValidationError,
@@ -24,6 +29,7 @@ from circuit_geometry import (
     schedule_to_dict,
     slice_mean,
     synthesize_gates,
+    weight_vector,
     write_bounds_csv,
     write_report,
 )
@@ -280,6 +286,44 @@ def test_gates_to_dict_lists_in_order():
     assert payload["n"] == 1
     assert payload["delta"] == 0.5
     assert all(entry["pauli"] == "X" for entry in payload["gates"])
+
+
+@st.composite
+def _gate_sequences(draw):
+    n = draw(st.integers(1, 6))
+    positions = np.flatnonzero(weight_vector(n) <= 2).tolist()
+    pairs = draw(st.lists(st.tuples(st.sampled_from(positions), st.floats(allow_nan=False, allow_infinity=False)),
+                          max_size=30))
+    delta = draw(st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                           st.integers(1, 10**6),
+                           st.floats(min_value=1e-9, max_value=1.0).map(np.float64)))
+    return GateSequence(n, np.array([k for k, _ in pairs], dtype=np.intp), [a for _, a in pairs], delta)
+
+
+@given(sequence=_gate_sequences())
+@example(sequence=GateSequence(2, np.array([], dtype=np.intp), [], 0.25))
+@example(sequence=GateSequence(1, [0, 1, 2, 0, 1], [-0.0, 5e-324, 1e300, -1e-7, 1e16], 0.05))
+@example(sequence=GateSequence(2, [0, 4], [0.1, -0.2], 1))
+@example(sequence=GateSequence(3, [0, 5], [0.1, -0.2], np.float64(0.05)))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_save_gates_writes_the_json_encoding_byte_for_byte(tmp_path, sequence):
+    path = tmp_path / "g.json"
+    save_gates(str(path), sequence)
+    expected = json.dumps(gates_to_dict(sequence), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_outputs_get_the_mode_open_would_give_under_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        write_report(str(tmp_path / "r.json"), {"x": 1})
+        write_bounds_csv(str(tmp_path / "b.csv"), [BoundReport("alpha", 0.5, 1.0, 2.0)])
+        save_gates(str(tmp_path / "g.json"), GateSequence(1, [0], [0.1], 0.25))
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"r.json": mode, "b.csv": mode, "g.json": mode}
 
 
 def test_write_report_deterministic_bytes(tmp_path):
