@@ -8,6 +8,7 @@ from the same checks.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .charts import Unitary, log_coords
 from .errors import DomainError, EvaluationError, ValidationError
 from .metric import MetricConfig, PenaltyNorm
-from .seeding import substream
+from .pauli import _as_float
 from .simulation import Schedule, SimulationResult, _synthesize
 
 #: Slack applied on both sides of a bound before declaring failure.
@@ -43,10 +44,10 @@ class BoundReport:
 
     def __post_init__(self):
         for name in ("lower", "observed", "upper"):
-            value = getattr(self, name)
+            value = _as_float(getattr(self, name))
             if not np.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
         ok = self.lower - PASS_TOL <= self.observed <= self.upper + PASS_TOL
         object.__setattr__(self, "passed", bool(ok))
 
@@ -63,6 +64,12 @@ class BoundReport:
             "upper": self.upper,
             "passed": self.passed,
         }
+
+
+def _stream(seed: int) -> np.random.Generator:
+    """The sampler's generator: one stream per seed, keyed by the label ``"distortion"``."""
+    key = (zlib.crc32(b"distortion"),)
+    return np.random.default_rng(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=key))
 
 
 def estimate_distortion(norm, n: int, samples: int, seed: int = 0) -> tuple[float, float]:
@@ -94,7 +101,7 @@ def estimate_distortion(norm, n: int, samples: int, seed: int = 0) -> tuple[floa
     penalized = 4**n - 1 - k
     strata = 3 if penalized else 1
     p_squared = norm.config.p * norm.config.p
-    rng = substream(seed, "distortion")
+    rng = _stream(seed)
     low = np.inf
     high = -np.inf
     for produced in range(0, samples, SAMPLE_CHUNK):
@@ -141,6 +148,7 @@ def gate_count_bounds_chart(
     """
     for name, value in (("distance", distance), ("rho_inf", rho_inf), ("rho_sup", rho_sup),
                         ("m_lower", m_lower), ("m_upper", m_upper)):
+        value = _as_float(value)
         if not (np.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be positive and finite, got {value}")
     return (distance / (rho_sup * m_upper), distance / (rho_inf * m_lower))
@@ -157,6 +165,7 @@ def gate_count_bounds_metric(
     """
     for name, value in (("distance", distance), ("beta_inf", beta_inf), ("beta_sup", beta_sup),
                         ("m_lower", m_lower), ("m_upper", m_upper)):
+        value = _as_float(value)
         if not (np.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be positive and finite, got {value}")
     return (distance / beta_sup, (m_upper / m_lower) * distance / beta_inf)
@@ -200,7 +209,7 @@ def gate_count_scaling(schedule: Schedule, config: MetricConfig, deltas) -> Scal
     the substep count).  Requires at least three widths spanning a factor
     of ``SCALING_MIN_SPAN``.
     """
-    widths = tuple(float(d) for d in deltas)
+    widths = tuple(_as_float(d) for d in deltas)
     if len(widths) < 3:
         raise DomainError(f"at least three slice widths are required, got {len(widths)}")
     if any(not (np.isfinite(d) and d > 0) for d in widths):

@@ -61,42 +61,32 @@ def identity(n: int) -> Unitary:
     return Unitary(n, np.eye(2**n, dtype=complex))
 
 
-def eigen_exp(evals: np.ndarray, vecs: np.ndarray, t=1.0) -> np.ndarray:
-    """``V diag(exp(-i t lambda)) V^dagger`` from eigenpairs, over leading axes.
-
-    ``t`` is a scalar or an array that broadcasts against ``evals`` (one
-    duration per matrix as ``t[..., None]``).  Each matrix of a stack is
-    computed with exactly the operations of the unstacked call.
-    """
-    return (vecs * np.exp(-1j * t * evals)[..., None, :]) @ np.swapaxes(vecs.conj(), -2, -1)
-
-
 def unitary_exp(hermitian: np.ndarray, t: float = 1.0) -> np.ndarray:
     """``exp(-i t H)`` for Hermitian ``H`` via eigendecomposition.
 
     Exactly unitary up to rounding (phases lie on the unit circle by
     construction), unlike a truncated series.
     """
-    return eigen_exp(*np.linalg.eigh(hermitian), t)
+    evals, vecs = np.linalg.eigh(hermitian)
+    return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
 
 
-def phase_aligned_frobenius(a: np.ndarray, b: np.ndarray):
-    """``min_phi || a - e^{i phi} b ||_F`` over the last two axes.
+def phase_aligned_frobenius(a: np.ndarray, b: np.ndarray) -> float:
+    """``min_phi || a - e^{i phi} b ||_F`` for two matrices.
 
     The minimizing phase is ``e^{i phi} = conj(t) / |t|`` with
     ``t = tr(a^dagger b)`` (any phase when ``t`` is 0; 1 is used), and the
     distance is taken directly from the aligned difference, not from the
     expansion ``|a|^2 + |b|^2 - 2 |t|``, which cancels and loses half the
     digits of a small distance.  Group elements that differ only by a global
-    phase compare as equal.  Returns a float for two matrices and an array
-    for stacks (leading axes broadcast).  A NaN entry gives NaN, so it never
-    counts as reaching a target.
+    phase compare as equal.  A NaN entry gives NaN, so it never counts as
+    reaching a target.
     """
-    trace = np.trace(np.swapaxes(a.conj(), -2, -1) @ b, axis1=-2, axis2=-1)
+    trace = np.trace(a.conj().T @ b)
     # np.angle(0) is 0, so a zero trace aligns with phase 1
     phase = np.exp(-1j * np.angle(trace))
-    out = np.linalg.norm(a - phase[..., None, None] * b, axis=(-2, -1))
-    return float(out) if out.ndim == 0 else out
+    # with an axis, norm sums |x|^2; the plain form's dot product can move the last bit
+    return float(np.linalg.norm(a - phase * b, axis=(-2, -1)))
 
 
 def exp_coords(y: CoeffVector, base: Unitary) -> Unitary:

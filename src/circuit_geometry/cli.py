@@ -4,13 +4,13 @@ Six subcommands wire the file formats to the library: ``decompose``,
 ``distance``, ``simulate``, ``verify``, ``distortion``, and ``scaling``.
 Every run writes one report file -- JSON with the fixed top level
 ``{"version", "config", "results", "bound_reports"}`` or a CSV of the
-bound reports -- deterministically: the same flags and seed produce the
-same bytes, and the distance witness draws no random numbers.  The
-``config`` block echoes the command name, every option, and the resolved
-qubit count ``n`` and penalty ``p``.  Exit codes: 0 all checks pass, 1 a
-bound check failed, 2 parse or validation error or any unexpected
-internal error, 130 interrupted.  Every target has a distance bracket:
-distances are measured on the projective group.
+bound reports -- deterministically: the same flags produce the same bytes;
+only ``distortion`` draws random numbers (from ``--seed``, which ``distance``
+and ``verify`` just echo).  The ``config`` block echoes the command name,
+every option, and the resolved qubit count ``n`` and penalty ``p``.  Exit
+codes: 0 all checks pass, 1 a bound check failed, 2 parse or validation
+error or any unexpected internal error, 130 interrupted.  Every target has
+a distance bracket: distances are measured on the projective group.
 
 ``simulate --delta auto`` is a policy of this front end, not of the
 library: the slice width is ``1 / (n^2 d_hat)`` clipped to the schedule
@@ -223,18 +223,16 @@ def distance(unitary, p, segments, **_):
 @p_option
 @click.option("--delta", default="auto", show_default=True,
               help="Slice width, or 'auto' to derive one from the distance estimate.")
-@segments_option
-@seed_option
 @click.option("--gates-out", type=click.Path(dir_okay=False), default=None,
               help="Also write the synthesized gate sequence to this file.")
 @out_option
 @format_option
-def simulate(schedule, p, delta, segments, gates_out, **_):
+def simulate(schedule, p, delta, gates_out, **_):
     """Synthesize a schedule into weight-2 gates and check the length sandwich."""
     loaded = load_schedule(schedule)
     metric = _metric(loaded.n, p)
     if delta == "auto":
-        upper = distance_upper(schedule_endpoint(loaded), metric, segments).upper
+        upper = distance_upper(schedule_endpoint(loaded), metric).upper
         width = min(1.0 / (metric.n**2 * upper), loaded.duration) if upper > 0 else loaded.duration
     else:
         try:

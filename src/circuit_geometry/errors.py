@@ -37,7 +37,7 @@ class BranchCutError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """A user-supplied norm callable produced a non-finite value."""
+    """A norm gave a non-finite value or a wrong shape, or the sampler a degenerate draw."""
 
 
 class CoefficientBoundError(ValidationError):

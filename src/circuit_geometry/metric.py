@@ -8,8 +8,8 @@ Pauli word has weight three or more:
 It is quadratic, hence a smooth Minkowski norm with positive-definite
 Hessian of F_p^2 / 2, and it sandwiches the Euclidean norm as
 ``|y| <= F_p(y) <= p |y|``.  The checks in this module are empirical
-(finite differences at trial points) so they also apply to user-supplied
-norm callables.
+(finite differences at trial points) so they also apply to other norms,
+given as batched callables that map an (m, d) array to its m row norms.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ValidationError
-from .pauli import CoeffVector, partition_k, weight_vector
+from .pauli import CoeffVector, _as_float, _check_qubit_count, partition_k, weight_vector
 
 #: Pauli weight at which the penalty starts to apply.
 PENALIZED_WEIGHT = 3
@@ -44,10 +44,10 @@ class MetricConfig:
     p: float
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _as_float(self.p))
         if not np.isfinite(self.p) or self.p < 1.0:
             raise ValidationError(f"penalty factor must be a finite number >= 1, got {self.p}")
-        partition_k(self.n)  # validates n
-        object.__setattr__(self, "p", float(self.p))
+        _check_qubit_count(self.n)
 
     @property
     def k(self) -> int:
@@ -104,21 +104,10 @@ def distortion_constants(config: MetricConfig) -> tuple[float, float]:
 
 
 def _evaluate(norm, points: np.ndarray) -> np.ndarray:
-    """Evaluate a norm callable on a (m, d) batch.
-
-    Falls back to one row at a time when the batched call raises
-    ``TypeError`` or ``ValueError`` or returns the wrong shape; any other
-    failure propagates.
-    """
-    out = None
-    try:
-        candidate = np.asarray(norm(points), dtype=float)
-        if candidate.shape == (points.shape[0],):
-            out = candidate
-    except (TypeError, ValueError):
-        out = None
-    if out is None:
-        out = np.array([float(norm(p)) for p in points])
+    """Evaluate a batched norm callable on a (m, d) batch: one value per row."""
+    out = np.asarray(norm(points), dtype=float)
+    if out.shape != (points.shape[0],):
+        raise EvaluationError(f"norm returned shape {out.shape} for a batch of {points.shape[0]} points")
     if not np.all(np.isfinite(out)):
         raise EvaluationError("norm evaluated to a non-finite value")
     return out

@@ -101,6 +101,14 @@ def _check_qubit_count(n: int) -> None:
         raise DomainError(f"qubit count must be between 1 and {MAX_QUBITS}, got {n}")
 
 
+def _as_float(value) -> float:
+    """``float(value)``, with an int beyond the float range read as the infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
 @lru_cache(maxsize=None)
 def enumerate_basis(n: int) -> tuple[PauliString, ...]:
     """All 4^n - 1 non-identity Pauli words in canonical order.
@@ -237,14 +245,9 @@ class CoeffVector:
                 raise ValidationError(f"coefficient for {word!r} is too large for a float") from None
         return cls(n, values)
 
-    def to_words(self, include_zeros: bool = False) -> dict:
-        """Mapping ``{word: coefficient}``; zero entries omitted by default."""
-        basis = enumerate_basis(self.n)
-        return {
-            str(s): float(v)
-            for s, v in zip(basis, self.values)
-            if include_zeros or v != 0.0
-        }
+    def to_words(self) -> dict:
+        """Mapping ``{word: coefficient}`` of the nonzero entries."""
+        return {str(s): float(v) for s, v in zip(enumerate_basis(self.n), self.values) if v != 0.0}
 
     @property
     def norm(self) -> float:

@@ -20,13 +20,7 @@ import numpy as np
 from .charts import Unitary, phase_aligned_frobenius, unitary_exp
 from .errors import CoefficientBoundError, DomainError, ValidationError
 from .metric import PENALIZED_WEIGHT, MetricConfig
-from .pauli import (
-    CoeffVector,
-    _check_qubit_count,
-    reconstruct,
-    weight_vector,
-    word_actions,
-)
+from .pauli import CoeffVector, _as_float, _check_qubit_count, reconstruct, weight_vector, word_actions
 
 #: Guard for float division when counting slices and substeps: a duration
 #: that is an exact multiple of delta must not gain a spurious extra slice.
@@ -73,6 +67,7 @@ class Schedule:
 
     def __post_init__(self):
         _check_qubit_count(self.n)
+        object.__setattr__(self, "duration", _as_float(self.duration))
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1:
@@ -101,7 +96,6 @@ class Schedule:
         values.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "duration", float(self.duration))
 
     @classmethod
     def constant(cls, y: CoeffVector, duration: float) -> "Schedule":
@@ -119,10 +113,10 @@ class Schedule:
         raises ``ValidationError``.
         """
         times = [0.0]
-        for index, tau in enumerate(taus):
+        for index, tau in enumerate(map(_as_float, taus)):
             if not (np.isfinite(tau) and tau > 0):
                 raise ValidationError(f"segment {index} duration must be positive and finite, got {tau}")
-            end = times[-1] + float(tau)
+            end = times[-1] + tau
             if end == times[-1]:
                 raise ValidationError(
                     f"segment {index} (tau {tau}) is below the float resolution of its start time "
@@ -152,6 +146,7 @@ class Schedule:
 
 def _slice_count(duration: float, delta: float) -> float:
     """Number of width-``delta`` slices covering ``duration``, as a float (may be huge)."""
+    delta = _as_float(delta)
     if not (np.isfinite(delta) and delta > 0):
         raise DomainError(f"slice width must be positive and finite, got {delta}")
     if delta > duration * (1.0 + COUNT_GUARD):
@@ -253,6 +248,7 @@ class GateSequence:
         _refuse_first((gates < 0) | (gates >= words), gates, angles, f"position outside 0..{words - 1}")
         _refuse_first(weight_vector(self.n)[gates] > 2, gates, angles, "word of weight above two")
         _refuse_first(~np.isfinite(angles), gates, angles, "non-finite angle")
+        object.__setattr__(self, "delta", _as_float(self.delta))
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValidationError(f"slice width must be positive and finite, got {self.delta}")
         gates.flags.writeable = False
@@ -290,6 +286,7 @@ def synthesize_gates(means, delta: float, config: MetricConfig) -> GateSequence:
     in magnitude and ``ValidationError`` when a mean has weight-three
     support (project first).
     """
+    delta = _as_float(delta)
     if not (np.isfinite(delta) and 0 < delta):
         raise DomainError(f"slice width must be positive and finite, got {delta}")
     substeps = _substeps(delta)

@@ -3,14 +3,16 @@
 import importlib
 
 import pytest
+from click.testing import CliRunner
 
 import circuit_geometry
+from circuit_geometry.cli import main
 
 #: Names deleted when each job was left with a single public entry point, and
 #: the "infeasible" outcome, which no target has once every target gets a bracket.
 REMOVED = {
     "bounds": ["_strata"],
-    "charts": ["ChartPoint", "CHART_RADIUS"],
+    "charts": ["ChartPoint", "CHART_RADIUS", "eigen_exp"],
     "cli": ["EXIT_INFEASIBLE"],
     "errors": ["InfeasibleError"],
     "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values"],
@@ -34,7 +36,20 @@ def test_removed_names_are_gone(module, name):
         exec(f"from circuit_geometry import {name}", {})
 
 
+def test_removed_modules_are_gone():
+    # the distortion sampler, its only caller, builds its stream itself
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("circuit_geometry.seeding")
+
+
 def test_removed_options_are_gone():
     assert not hasattr(circuit_geometry.Schedule, "piecewise")
     with pytest.raises(TypeError):
         circuit_geometry.synthesize_gates([], 0.5, circuit_geometry.MetricConfig(1, 1.0), order=1)
+    with pytest.raises(TypeError):
+        circuit_geometry.CoeffVector.zeros(1).to_words(include_zeros=True)
+    # simulate draws no random numbers, and its auto width does not depend on the witness legs
+    for option in (["--seed", "1"], ["--segments", "2"]):
+        result = CliRunner().invoke(main, ["simulate", "--schedule", "s.json", *option])
+        assert result.exit_code == 2
+        assert "No such option" in result.output

@@ -1,5 +1,7 @@
 """Distortion sampling, sandwich checks, and count brackets."""
 
+import zlib
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -28,10 +30,16 @@ from circuit_geometry import (
     gate_product,
     identity,
     simulate,
+    synthesize_gates,
 )
 from circuit_geometry import bounds, simulation
-from circuit_geometry.seeding import substream
 from util import random_coeffs
+
+
+def _distortion_stream(seed):
+    """The sampler's stream, built without the helper under test."""
+    key = (zlib.crc32(b"distortion"),)
+    return np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=key))
 
 
 def _coeffs(n, words):
@@ -56,6 +64,35 @@ def test_bound_report_tolerance_edges():
     assert BoundReport("x", 0.0, -0.5e-9, 1.0).passed
     assert BoundReport("x", 0.0, 1.0 + 0.5e-9, 1.0).passed
     assert not BoundReport("x", 0.0, 1.0 + 1e-8, 1.0).passed
+
+
+_HUGE = 10**400
+_ONE_QUBIT = MetricConfig(1, 2.0)
+_X_FOR_ONE = Schedule.constant(CoeffVector(1, [0.5, 0.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("error, build", [
+    (ValidationError, lambda: GateSequence(1, [0], [0.1], _HUGE)),
+    (ValidationError, lambda: Schedule(1, np.zeros(1), np.zeros((1, 3)), _HUGE)),
+    (ValidationError, lambda: Schedule.from_segments(1, np.zeros((1, 3)), [_HUGE])),
+    (ValidationError, lambda: MetricConfig(2, _HUGE)),
+    (DomainError, lambda: simulate(_X_FOR_ONE, _ONE_QUBIT, _HUGE)),
+    (DomainError, lambda: synthesize_gates([], -_HUGE, _ONE_QUBIT)),
+    (DomainError, lambda: gate_count_scaling(_X_FOR_ONE, _ONE_QUBIT, [0.5, 0.25, _HUGE])),
+    (ValidationError, lambda: BoundReport("x", 0, _HUGE, 1)),
+    (DomainError, lambda: gate_count_bounds_chart(1.0, 0.1, 0.2, 1.0, _HUGE)),
+    (DomainError, lambda: gate_count_bounds_metric(_HUGE, 0.1, 0.2, 1.0, 2.0)),
+], ids=["gate-delta", "schedule-duration", "segment-tau", "penalty", "simulate-delta",
+        "synthesis-delta", "scaling-width", "bound-report", "chart-count", "metric-count"])
+def test_an_int_beyond_the_float_range_gets_the_documented_error(error, build):
+    # np.isfinite raises a bare TypeError on such an int; it must read as infinite
+    with pytest.raises(error, match="finite"):
+        build()
+
+
+def test_an_int_beyond_int64_but_inside_the_float_range_is_a_number():
+    assert GateSequence(1, [0], [0.1], 10**20).delta == 1e20
+    assert Schedule(1, np.zeros(1), np.zeros((1, 3)), 10**20).duration == 1e20
 
 
 def test_bound_report_rejects_non_finite():
@@ -125,7 +162,7 @@ def _reference_estimate(norm, n, samples, seed=0):
     dimension = 4**n - 1
     mask = norm.penalized_mask
     strata = [None, ~mask, mask] if mask.any() else [None]
-    rng = substream(seed, "distortion")
+    rng = _distortion_stream(seed)
     low = np.inf
     high = -np.inf
     produced = 0
@@ -177,8 +214,8 @@ def test_chunked_draws_fill_the_single_stream():
     # the block sums of squares are drawn in row order, so blocks of any
     # size read one stream
     shapes = [4.5, 27.0]
-    whole = substream(5, "distortion").standard_gamma(shapes, size=(1300, 2))
-    rng = substream(5, "distortion")
+    whole = _distortion_stream(5).standard_gamma(shapes, size=(1300, 2))
+    rng = _distortion_stream(5)
     chunked = np.concatenate([rng.standard_gamma(shapes, size=(min(512, 1300 - lo), 2))
                               for lo in range(0, 1300, 512)])
     assert np.array_equal(chunked, whole)
@@ -202,7 +239,7 @@ def test_estimate_distortion_rejects_bad_inputs(monkeypatch):
         def standard_gamma(self, shape, size):
             return np.zeros(size)
 
-    monkeypatch.setattr(bounds, "substream", lambda *args: Zeros())
+    monkeypatch.setattr(bounds, "_stream", lambda seed: Zeros())
     with pytest.raises(EvaluationError):
         estimate_distortion(norm, 2, 10)
 

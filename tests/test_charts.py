@@ -193,7 +193,6 @@ def test_phase_aligned_frobenius_keeps_the_digits_of_a_small_distance():
     # a zero trace leaves every phase optimal: the distance is sqrt(|a|^2 + |b|^2)
     x, z = PauliString("X").matrix(), PauliString("Z").matrix()
     assert phase_aligned_frobenius(x, z) == 2.0
-    assert np.array_equal(phase_aligned_frobenius(np.stack([x, x]), z), [2.0, 2.0])
 
 
 def test_phase_aligned_frobenius_propagates_nan():
@@ -201,6 +200,3 @@ def test_phase_aligned_frobenius_propagates_nan():
     nan = np.full((2, 2), np.nan)
     assert np.isnan(phase_aligned_frobenius(nan, np.eye(2)))
     assert np.isnan(phase_aligned_frobenius(np.eye(2), nan))
-    stacked = phase_aligned_frobenius(np.stack([np.eye(2), nan, np.eye(2)]), np.eye(2))
-    assert stacked[0] == 0.0 and stacked[2] == 0.0
-    assert np.isnan(stacked[1])

@@ -235,7 +235,7 @@ def test_simulate_auto_delta(runner, tmp_path):
     schedule = _write(tmp_path, "s.json", {"n": 1, "segments": [{"tau": 1.0, "y": {"X": 0.6}}]})
     out = str(tmp_path / "sim.json")
     result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "auto",
-                                  "--segments", "2", "--p", "2", "--out", out])
+                                  "--p", "2", "--out", out])
     assert result.exit_code == 0, result.output
     results = _report(out)["results"]
     assert 0 < results["delta"] <= 1.0

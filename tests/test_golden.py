@@ -40,8 +40,7 @@ CASES = {
     "verify_rotation_csv": (["verify", "--unitary", "rotation.json", *FAST], "csv"),
     "simulate_fixed": (["simulate", "--schedule", "schedule3.json", "--delta", "0.25",
                         "--gates-out", "simulate_fixed.gates.json"], "json"),
-    "simulate_auto": (["simulate", "--schedule", "schedule2.json", "--delta", "auto", *FAST],
-                      "json"),
+    "simulate_auto": (["simulate", "--schedule", "schedule2.json", "--delta", "auto"], "json"),
     "distortion": (["distortion", "--n", "3", "--samples", "3000", "--seed", "5"], "json"),
     "scaling": (["scaling", "--schedule", "schedule2.json"], "json"),
 }

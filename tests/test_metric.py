@@ -34,6 +34,12 @@ def test_config_rejects_bad_penalty():
     MetricConfig(2, 1.0)  # boundary value is allowed
 
 
+@pytest.mark.parametrize("n", [0, 7, True])
+def test_config_rejects_a_qubit_count_out_of_range(n):
+    with pytest.raises(DomainError, match="qubit count"):
+        MetricConfig(n, 2.0)
+
+
 def test_default_penalty():
     assert default_penalty(3) == 8.0
 
@@ -209,22 +215,21 @@ def test_finsler_checks_fail_for_inhomogeneous():
     assert not report.homogeneity_pass
 
 
-def test_finsler_scalar_only_norm_fallback():
-    # a callable that rejects batches exercises the row-by-row fallback
+def test_finsler_refuses_a_norm_of_the_wrong_shape():
+    # a norm callable is batched: one value per row, and nothing is retried row by row
     def scalar_norm(values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1:
-            raise TypeError("scalar only")
         return float(np.sqrt(np.sum(np.square(values))))
 
     rng = np.random.default_rng(12)
     points = [rng.normal(size=3) for _ in range(3)]
-    report = check_finsler_properties(scalar_norm, 1, points)
-    assert report.all_pass
+    with pytest.raises(EvaluationError, match=r"shape \(\) for a batch of 1 points"):
+        check_finsler_properties(scalar_norm, 1, points)
+    with pytest.raises(EvaluationError, match=r"shape \(3, 1\) for a batch of 3 points"):
+        half_square_hessian(lambda v: _euclidean(v)[:, None], np.ones(1))
 
 
 def test_finsler_propagates_batched_failure():
-    # only a batch the norm rejects (TypeError or ValueError) is retried row by row
+    # a failure of the norm itself propagates as it is
     def broken(values):
         values = np.asarray(values, dtype=float)
         if values.ndim != 1:

@@ -190,9 +190,6 @@ def test_words_round_trip():
     y = CoeffVector.from_words(2, {"XZ": 0.5, "IY": -1.25})
     words = y.to_words()
     assert words == {"IY": -1.25, "XZ": 0.5}
-    full = y.to_words(include_zeros=True)
-    assert len(full) == 15
-    assert full["ZZ"] == 0.0
 
 
 def test_from_words_rejects_overflow():
