@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -123,24 +124,24 @@ def _subcommand(function):
     The function receives every option as a keyword and returns
     ``(metric, results, reports)``: the resolved :class:`MetricConfig`
     (``None`` for a command without one), the report's ``results`` block
-    and its bound reports.
+    and its bound reports.  Every subcommand ends with ``--out`` and
+    ``--format``, which only :func:`_finish` reads.
     """
 
     @functools.wraps(function)
     def run(**options):
         _guarded(lambda: _finish(function.__name__, options, *function(**options)))
 
-    return main.command()(run)
+    command = main.command()(run)
+    command.params += [
+        click.Option(["--out"], type=click.Path(dir_okay=False), default=None,
+                     help=f"Report path (default: <command>_report.<format> under ${OUT_DIR_ENV} or '.')."),
+        click.Option(["--format"], type=click.Choice(["json", "csv"]), default="json", show_default=True,
+                     help="Report format: full JSON or a CSV of the bound checks."),
+    ]
+    return command
 
 
-format_option = click.option(
-    "--format", type=click.Choice(["json", "csv"]), default="json", show_default=True,
-    help="Report format: full JSON or a CSV of the bound checks.",
-)
-out_option = click.option(
-    "--out", type=click.Path(dir_okay=False), default=None,
-    help=f"Report path (default: <command>_report.<format> under ${OUT_DIR_ENV} or '.').",
-)
 seed_option = click.option(
     "--seed", type=int, default=0, show_default=True,
     help="Master RNG seed (echoed in the report; only the distortion sampler draws random numbers).",
@@ -176,11 +177,7 @@ def _bracket(unitary: str, p: float | None, segments: int):
         "lower": estimate.lower,
         "upper": estimate.upper,
         "witness": schedule_to_dict(estimate.witness),
-        "stats": {
-            "runs": estimate.stats.runs,
-            "evaluations": estimate.stats.evaluations,
-            "endpoint_error": estimate.stats.endpoint_error,
-        },
+        "stats": asdict(estimate.stats),
     }
     # the lower estimate must not exceed the upper beyond the witness's
     # endpoint feasibility tolerance
@@ -191,8 +188,6 @@ def _bracket(unitary: str, p: float | None, segments: int):
 @_subcommand
 @click.option("--matrix", type=click.Path(exists=False), required=True,
               help="Traceless Hermitian matrix file (JSON with n, re, im).")
-@out_option
-@format_option
 def decompose(matrix, **_):
     """Expand a traceless Hermitian matrix over the Pauli basis."""
     n, values = load_matrix(matrix)
@@ -210,8 +205,6 @@ def decompose(matrix, **_):
 @p_option
 @segments_option
 @seed_option
-@out_option
-@format_option
 def distance(unitary, p, segments, **_):
     """Bracket the distance from the identity to a target unitary."""
     metric, _estimate, results, reports = _bracket(unitary, p, segments)
@@ -225,8 +218,6 @@ def distance(unitary, p, segments, **_):
               help="Slice width, or 'auto' to derive one from the distance estimate.")
 @click.option("--gates-out", type=click.Path(dir_okay=False), default=None,
               help="Also write the synthesized gate sequence to this file.")
-@out_option
-@format_option
 def simulate(schedule, p, delta, gates_out, **_):
     """Synthesize a schedule into weight-2 gates and check the length sandwich."""
     loaded = load_schedule(schedule)
@@ -258,8 +249,6 @@ def simulate(schedule, p, delta, gates_out, **_):
 @p_option
 @segments_option
 @seed_option
-@out_option
-@format_option
 def verify(unitary, p, segments, **_):
     """Estimate the distance to a target and verify the chart sandwiches."""
     metric, estimate, results, reports = _bracket(unitary, p, segments)
@@ -294,8 +283,6 @@ def verify(unitary, p, segments, **_):
 @click.option("--samples", type=click.IntRange(min=1), default=100000, show_default=True,
               help="Monte Carlo sample count.")
 @seed_option
-@out_option
-@format_option
 def distortion(n, p, samples, seed, **_):
     """Estimate the distortion constants of the penalty norm by sampling."""
     metric = _metric(n, p)
@@ -317,8 +304,6 @@ def distortion(n, p, samples, seed, **_):
 @p_option
 @click.option("--deltas", default="0.2,0.1,0.05", show_default=True,
               help="Comma-separated slice widths (at least three, spanning a factor of 4).")
-@out_option
-@format_option
 def scaling(schedule, p, deltas, **_):
     """Fit the gate-count growth against the inverse slice width."""
     loaded = load_schedule(schedule)
@@ -328,17 +313,10 @@ def scaling(schedule, p, deltas, **_):
     except ValueError:
         raise ValidationError(f"--deltas must be comma-separated numbers, got {deltas!r}")
     report = gate_count_scaling(loaded, metric, widths)
-    results = {
-        "deltas": list(report.deltas),
-        "gate_counts": list(report.gate_counts),
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "residual": report.residual,
-    }
     slope_report = BoundReport(
         "scaling-slope", EXPECTED_SLOPE - SLOPE_TOL, report.slope, EXPECTED_SLOPE + SLOPE_TOL
     )
-    return metric, results, [slope_report]
+    return metric, asdict(report), [slope_report]
 
 
 if __name__ == "__main__":

@@ -54,6 +54,14 @@ def _number(value, what: str) -> float:
         raise ValidationError(f"{what} is too large for a float") from None
 
 
+def _named(where: str, build, *args):
+    """``build(*args)``, with ``where: `` put in front of any ``ValidationError`` it raises."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def _as_complex(payload: dict, path: str) -> tuple[int, np.ndarray]:
     _require(isinstance(payload, dict), f"{path}: expected a JSON object")
     for key in ("n", "re", "im"):
@@ -87,8 +95,7 @@ def load_matrix(path: str) -> tuple[int, np.ndarray]:
 
 def load_unitary(path: str) -> Unitary:
     """Read a matrix file and validate it as an element of SU(2^n)."""
-    n, matrix = load_matrix(path)
-    return Unitary(n, matrix)
+    return _named(path, Unitary, *load_matrix(path))
 
 
 def save_matrix(path: str, n: int, matrix: np.ndarray) -> None:
@@ -98,9 +105,10 @@ def save_matrix(path: str, n: int, matrix: np.ndarray) -> None:
 
 
 def schedule_from_dict(payload: dict, source: str = "<schedule>") -> Schedule:
-    """Parse the schedule format: each tau positive, finite and long enough to
-    advance the running time, which stays finite, and each coefficient finite.
-    Every refusal starts with ``source`` and names the segment."""
+    """Parse the schedule format.  The reader checks the JSON shape, and
+    :meth:`CoeffVector.from_words` and :meth:`Schedule.from_segments` check the
+    words, coefficients and durations.  Every refusal starts with ``source``
+    and names the segment."""
     _require(isinstance(payload, dict), f"{source}: expected a JSON object")
     for key in ("n", "segments"):
         _require(key in payload, f"{source}: missing key {key!r}")
@@ -108,26 +116,17 @@ def schedule_from_dict(payload: dict, source: str = "<schedule>") -> Schedule:
     segments = payload["segments"]
     _require(isinstance(segments, list) and segments, f"{source}: 'segments' must be a nonempty list")
     rows = []
-    times = []
-    end = 0.0
+    taus = []
     for index, entry in enumerate(segments):
         where = f"{source}: segment {index}"
         _require(isinstance(entry, dict), f"{where}: expected an object")
         _require("tau" in entry and "y" in entry, f"{where}: needs 'tau' and 'y'")
-        tau = _number(entry["tau"], f"{where}: 'tau'")
-        _require(np.isfinite(tau) and tau > 0, f"{where} duration must be positive and finite, got {tau}")
-        start, end = end, end + tau
-        _require(np.isfinite(end), f"{where} (tau {tau}) ends past the largest float, from time {start}")
-        _require(end != start, f"{where} (tau {tau}) is below the float resolution of its start time "
-                               f"{start}: it would be lost")
+        taus.append(_number(entry["tau"], f"{where}: 'tau'"))
         mapping = entry["y"]
         _require(isinstance(mapping, dict), f"{where}: 'y' must be an object of word: coefficient")
         mapping = {word: _number(value, f"{where}: coefficient for {word!r}") for word, value in mapping.items()}
-        for word, value in mapping.items():
-            _require(np.isfinite(value), f"{where}: coefficient for {word!r} must be finite, got {value}")
-        rows.append(CoeffVector.from_words(n, mapping).values)
-        times.append(start)
-    return Schedule(n, np.array(times), np.array(rows), end)
+        rows.append(_named(where, CoeffVector.from_words, n, mapping).values)
+    return _named(source, Schedule.from_segments, n, rows, taus)
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:
@@ -155,15 +154,15 @@ def gates_to_dict(sequence: GateSequence) -> dict:
 
 
 def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
-    """Parse the gates format: ``delta`` positive and finite, each word a
-    non-identity word of weight at most two on ``n`` qubits, each angle finite.
-    Every refusal starts with ``source`` and names the gate by its letters."""
+    """Parse the gates format.  The reader checks the JSON shape and that each
+    word is a non-identity word on ``n`` qubits, and :class:`GateSequence`
+    checks ``delta``, the word weights and the angles.  Every refusal starts
+    with ``source`` and names the gate by its letters."""
     _require(isinstance(payload, dict), f"{source}: expected a JSON object")
     for key in ("n", "delta", "gates"):
         _require(key in payload, f"{source}: missing key {key!r}")
     n = _qubits(payload["n"], source)
     delta = _number(payload["delta"], f"{source}: 'delta'")
-    _require(np.isfinite(delta) and delta > 0, f"{source}: 'delta' must be positive and finite, got {delta}")
     entries = payload["gates"]
     _require(isinstance(entries, list), f"{source}: 'gates' must be a list")
     positions = _word_positions(n)
@@ -176,14 +175,9 @@ def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
         word = entry["pauli"]
         _require(isinstance(word, str) and word in positions,
                  f"{where}: 'pauli' must be a non-identity word of {n} letters from 'IXYZ', got {word!r}")
-        angle = _number(entry["angle"], f"{where}: 'angle'")
-        # GateSequence refuses these too, but by canonical position and without the file
-        what = f"{where} ({word}, angle {angle}) has a"
-        _require(len(word) - word.count("I") <= 2, f"{what} word of weight above two")
-        _require(np.isfinite(angle), f"{what} non-finite angle")
         gates.append(positions[word])
-        angles.append(angle)
-    return GateSequence(n, gates, angles, delta)
+        angles.append(_number(entry["angle"], f"{where}: 'angle'"))
+    return _named(source, GateSequence, n, gates, angles, delta)
 
 
 def load_gates(path: str) -> GateSequence:

@@ -240,9 +240,12 @@ class CoeffVector:
                     f"unknown Pauli word {word!r} for n={n} (identity word excluded)"
                 )
             try:
-                values[index[word]] = float(value)
+                value = float(value)
             except OverflowError:
                 raise ValidationError(f"coefficient for {word!r} is too large for a float") from None
+            if not np.isfinite(value):
+                raise ValidationError(f"coefficient for {word!r} must be finite, got {value}")
+            values[index[word]] = value
         return cls(n, values)
 
     def to_words(self) -> dict:

@@ -20,7 +20,8 @@ import numpy as np
 from .charts import Unitary, phase_aligned_frobenius, unitary_exp
 from .errors import CoefficientBoundError, DomainError, ValidationError
 from .metric import PENALIZED_WEIGHT, MetricConfig
-from .pauli import CoeffVector, _as_float, _check_qubit_count, reconstruct, weight_vector, word_actions
+from .pauli import (CoeffVector, _as_float, _check_qubit_count, enumerate_basis, reconstruct, weight_vector,
+                    word_actions)
 
 #: Guard for float division when counting slices and substeps: a duration
 #: that is an exact multiple of delta must not gain a spurious extra slice.
@@ -109,18 +110,20 @@ class Schedule:
         Sample times are the sequential running sum of the durations, so
         :attr:`segments` returns every duration exactly whenever those sums
         are exact (as they are for dyadic durations).  No segments give the
-        empty schedule.  A segment too short to advance the running sum
-        raises ``ValidationError``.
+        empty schedule.  A segment too short to advance the running sum, or
+        that carries it past the largest float, raises ``ValidationError``.
         """
         times = [0.0]
         for index, tau in enumerate(map(_as_float, taus)):
             if not (np.isfinite(tau) and tau > 0):
                 raise ValidationError(f"segment {index} duration must be positive and finite, got {tau}")
-            end = times[-1] + tau
-            if end == times[-1]:
+            start, end = times[-1], times[-1] + tau
+            if not np.isfinite(end):
+                raise ValidationError(f"segment {index} (tau {tau}) ends past the largest float, from time {start}")
+            if end == start:
                 raise ValidationError(
                     f"segment {index} (tau {tau}) is below the float resolution of its start time "
-                    f"{times[-1]}: it would be lost"
+                    f"{start}: it would be lost"
                 )
             times.append(end)
         values = np.asarray(values, dtype=float)
@@ -246,11 +249,11 @@ class GateSequence:
             raise ValidationError(f"gates {gates.shape} and angles {angles.shape} must be 1-d of one length")
         words = 4**self.n - 1
         _refuse_first((gates < 0) | (gates >= words), gates, angles, f"position outside 0..{words - 1}")
-        _refuse_first(weight_vector(self.n)[gates] > 2, gates, angles, "word of weight above two")
-        _refuse_first(~np.isfinite(angles), gates, angles, "non-finite angle")
+        _refuse_first(weight_vector(self.n)[gates] > 2, gates, angles, "word of weight above two", self.n)
+        _refuse_first(~np.isfinite(angles), gates, angles, "non-finite angle", self.n)
         object.__setattr__(self, "delta", _as_float(self.delta))
         if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValidationError(f"slice width must be positive and finite, got {self.delta}")
+            raise ValidationError(f"'delta' must be positive and finite, got {self.delta}")
         gates.flags.writeable = False
         angles.flags.writeable = False
         object.__setattr__(self, "gates", gates)
@@ -262,11 +265,14 @@ class GateSequence:
         return self.delta * (1.0 / _substeps(self.delta))
 
 
-def _refuse_first(bad: np.ndarray, gates: np.ndarray, angles: np.ndarray, what: str) -> None:
-    """Raise ``ValidationError`` naming the first gate flagged in ``bad``, if any."""
+def _refuse_first(bad: np.ndarray, gates: np.ndarray, angles: np.ndarray, what: str,
+                  n: int | None = None) -> None:
+    """Raise ``ValidationError`` naming the first gate flagged in ``bad``, if any: by the
+    letters of its word on ``n`` qubits, or by its position when there is no ``n``."""
     if np.any(bad):
         index = int(np.argmax(bad))
-        raise ValidationError(f"gate {index} (position {gates[index]}, angle {angles[index]}) has a {what}")
+        word = f"position {gates[index]}" if n is None else enumerate_basis(n)[gates[index]].letters
+        raise ValidationError(f"gate {index} ({word}, angle {angles[index]}) has a {what}")
 
 
 def _substeps(delta: float) -> float:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import click
 import numpy as np
 import pytest
 import scipy.linalg
@@ -552,6 +553,14 @@ def test_scaling_bound_failure_exits_1(runner, tmp_path):
     assert not report["bound_reports"][0]["passed"]
 
 
+def test_scaling_rejects_a_width_that_is_not_a_number(runner, tmp_path):
+    schedule = _write(tmp_path, "s.json", SCHEDULE)
+    result = runner.invoke(main, ["scaling", "--schedule", schedule,
+                                  "--deltas", "0.2,x,0.05", "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert "error: --deltas must be comma-separated numbers, got '0.2,x,0.05'" in result.output
+
+
 def test_scaling_rejects_thin_sweeps(runner, tmp_path):
     schedule = _write(tmp_path, "s.json", SCHEDULE)
     result = runner.invoke(main, ["scaling", "--schedule", schedule,
@@ -600,6 +609,26 @@ def test_csv_format(runner, tmp_path):
     assert lines[0] == "context,lower,observed,upper,passed"
     assert lines[1].startswith("distortion-min,")
     assert lines[1].endswith(",true")
+
+
+@pytest.mark.parametrize("command", ["decompose", "distance", "simulate", "verify", "distortion", "scaling"])
+def test_every_subcommand_ends_with_out_and_format(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    options = [line.split()[0] for line in result.output.splitlines() if line.startswith("  --")]
+    assert options[-3:] == ["--out", "--format", "--help"]
+
+
+def test_subcommand_declares_out_and_format(monkeypatch):
+    group = click.Group()
+    monkeypatch.setattr(cli, "main", group)
+
+    @cli._subcommand
+    @click.option("--x")
+    def probe(x, **_):
+        return None, {}, []
+
+    assert [param.name for param in group.commands["probe"].params] == ["x", "out", "format"]
 
 
 def test_console_script_help():
@@ -708,6 +737,30 @@ def test_n6_kernel_runs_without_a_dense_basis_stack(tmp_path, command):
         capture_output=True, text=True, timeout=120, env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_distance_refuses_a_witness_over_the_coefficient_limit(runner, tmp_path):
+    # 257 legs at n = 6 hold 1,052,415 coefficients, just over the limit of 2**20
+    out = tmp_path / "r.json"
+    result = runner.invoke(main, ["distance", "--unitary", _identity(tmp_path, n=6),
+                                  "--segments", "257", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "holds 1052415 coefficients; the limit is 1048576 coefficients" in result.output
+    assert not out.exists()
+
+
+def test_a_target_that_is_not_unitary_is_reported_with_its_file(runner, tmp_path):
+    target = _write(tmp_path, "u.json", {"n": 1, "re": [[2.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
+    result = runner.invoke(main, ["distance", "--unitary", target, "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert f"error: {target}: matrix is not unitary: " in result.output
+
+
+def test_an_unknown_word_is_reported_with_the_file_and_the_segment(runner, tmp_path):
+    schedule = _write(tmp_path, "bad.json", {"n": 1, "segments": [{"tau": 1.0, "y": {"XX": 0.5}}]})
+    result = runner.invoke(main, ["simulate", "--schedule", schedule, "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert f"error: {schedule}: segment 0: unknown Pauli word 'XX'" in result.output
 
 
 def test_segment_below_float_resolution_exits_2(runner, tmp_path):

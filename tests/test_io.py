@@ -81,8 +81,9 @@ def test_load_unitary_checks_group_membership(tmp_path):
     path = _write(tmp_path, "u.json", {
         "n": 1, "re": [[2.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.0], [0.0, 0.0]],
     })
-    with pytest.raises(ValidationError, match="not unitary"):
+    with pytest.raises(ValidationError) as caught:
         load_unitary(path)
+    assert str(caught.value) == f"{path}: matrix is not unitary: max |U U^dagger - I| = 3.000e+00"
 
 
 def test_save_matrix_round_trip(tmp_path):
@@ -147,6 +148,13 @@ def test_schedule_reader_names_the_file_for_a_segment_below_the_float_resolution
     path = _schedule_file(tmp_path, ['{"tau": 1e17, "y": {}}', '{"tau": 1.0, "y": {"X": 0.1}}'])
     with pytest.raises(ValidationError, match=r"^.*s\.json: segment 1 \(tau 1\.0\) is below the float resolution"):
         load_schedule(path)
+
+
+def test_schedule_reader_names_the_file_and_the_segment_of_an_unknown_word(tmp_path):
+    path = _schedule_file(tmp_path, ['{"tau": 0.5, "y": {"X": 0.1}}', '{"tau": 0.5, "y": {"XX": 0.1}}'])
+    with pytest.raises(ValidationError) as caught:
+        load_schedule(path)
+    assert str(caught.value) == f"{path}: segment 1: unknown Pauli word 'XX' for n=1 (identity word excluded)"
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
@@ -351,6 +359,15 @@ def test_write_report_failure_leaves_no_debris(tmp_path):
         write_report(str(target), {"x": float("nan")})
     assert target.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_write_report_onto_a_directory_leaves_no_temporary_file(tmp_path):
+    # the temporary file is written, and the rename onto the directory fails
+    (tmp_path / "r.json").mkdir()
+    with pytest.raises(OSError):
+        write_report(str(tmp_path / "r.json"), {"x": 1})
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    assert (tmp_path / "r.json").is_dir()
 
 
 def test_write_bounds_csv_golden(tmp_path):

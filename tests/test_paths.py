@@ -34,6 +34,7 @@ from circuit_geometry import (
     unitary_exp,
     weight_vector,
 )
+from circuit_geometry import charts, simulation
 from circuit_geometry.charts import _shortest_log
 from circuit_geometry.paths import ENDPOINT_TOL
 from util import brute_force_distance, haar_unitary, random_coeffs
@@ -364,18 +365,39 @@ def test_bracket_holds_on_haar_random_targets_where_the_penalty_acts(n, segments
             current = following
 
 
-def test_distance_upper_six_qubits_256_legs_is_fast():
-    # one reconstruct per leg: the bitmask kernel keeps 256 legs at n = 6 within seconds
+def test_distance_upper_six_qubits_256_legs_is_fast(monkeypatch):
+    # the endpoint reuses the propagator of equal legs, so 256 legs reconstruct
+    # as often as one; CPU time, unlike wall time, does not grow on a busy machine
     y = random_coeffs(np.random.default_rng(5), 6, scale=0.25)
     target = exp_coords(y, identity(6))
     config = MetricConfig(6, 64.0)
-    began = time.perf_counter()
+    calls = []
+
+    def counted(coefficients):
+        calls.append(coefficients.n)
+        return reconstruct(coefficients)
+
+    for module in (charts, simulation):
+        monkeypatch.setattr(module, "reconstruct", counted)
+    distance_upper(target, config, 1)
+    one_leg = len(calls)
+    calls.clear()
+    began = time.process_time()
     estimate = distance_upper(target, config, 256)
-    elapsed = time.perf_counter() - began
+    elapsed = time.process_time() - began
+    assert len(calls) == one_leg > 0
     assert elapsed < 3.0
     assert len(estimate.witness.segments) == 256
     assert estimate.stats.endpoint_error <= ENDPOINT_TOL
     assert estimate.upper == path_length(estimate.witness, config)
+
+
+def test_distance_upper_refuses_a_witness_over_the_coefficient_limit():
+    # 257 legs x 4095 words at n = 6 is 1,052,415 coefficients, just over 2**20
+    with pytest.raises(DomainError) as caught:
+        distance_upper(identity(6), MetricConfig(6, 64.0), 257)
+    assert str(caught.value) == ("a witness of 257 segments at n = 6 holds 1052415 coefficients; "
+                                 "the limit is 1048576 coefficients")
 
 
 def test_path_length_of_a_256_leg_witness_is_the_per_leg_fsum():

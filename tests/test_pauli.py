@@ -197,6 +197,13 @@ def test_from_words_rejects_overflow():
         CoeffVector.from_words(1, {"X": 10**400})
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_from_words_names_the_word_of_a_non_finite_coefficient(value):
+    with pytest.raises(ValidationError) as caught:
+        CoeffVector.from_words(1, {"Z": 0.1, "X": value})
+    assert str(caught.value) == f"coefficient for 'X' must be finite, got {value}"
+
+
 def test_from_words_rejects_unknown():
     with pytest.raises(ValidationError):
         CoeffVector.from_words(2, {"XQ": 1.0})

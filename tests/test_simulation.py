@@ -226,6 +226,27 @@ def test_gate_sequence_validation():
             column[0] = 1
 
 
+@pytest.mark.parametrize("gates, angles, delta, message", [
+    ([0, "XYZ"], [0.1, 0.2], 0.1, "gate 1 (XYZ, angle 0.2) has a word of weight above two"),
+    (["ZI", "IX"], [0.1, float("inf")], 0.1, "gate 1 (IX, angle inf) has a non-finite angle"),
+    ([15], [0.1], 0.1, "gate 0 (position 15, angle 0.1) has a position outside 0..14"),
+    ([0], [0.1], float("nan"), "'delta' must be positive and finite, got nan"),
+], ids=["weight", "angle", "position", "delta"])
+def test_gate_sequence_names_a_refused_gate_by_its_letters(gates, angles, delta, message):
+    # a position out of range has no letters, so it is named by its position
+    n = 3 if "XYZ" in gates else 2
+    positions = [_position(n, word) if isinstance(word, str) else word for word in gates]
+    with pytest.raises(ValidationError) as caught:
+        GateSequence(n, positions, angles, delta)
+    assert str(caught.value) == message
+
+
+def test_from_segments_refuses_a_running_time_past_the_largest_float():
+    with pytest.raises(ValidationError) as caught:
+        Schedule.from_segments(1, np.zeros((2, 3)), [1e308, 1e308])
+    assert str(caught.value) == "segment 1 (tau 1e+308) ends past the largest float, from time 1e+308"
+
+
 def test_synthesize_counts_and_angles():
     cfg = MetricConfig(2, 1.0)
     means = slice_mean(Schedule.constant(XI_ZZ, 1.0), 0.2)
