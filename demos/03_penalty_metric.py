@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """The weight-penalty norm: what it charges, the sandwich against the
-Euclidean norm, its Minkowski-norm credentials, and sampled distortion."""
+Euclidean norm, its quadratic form diag(w^2), and sampled distortion."""
 
 import numpy as np
 
@@ -8,7 +8,6 @@ from circuit_geometry import (
     CoeffVector,
     MetricConfig,
     PenaltyNorm,
-    check_finsler_properties,
     default_penalty,
     distortion_constants,
     estimate_distortion,
@@ -38,13 +37,12 @@ def main():
           f"max ratio {np.max(norms / lengths):.4f}, "
           f"violations: {int(np.sum((norms < lengths) | (norms > 4 * lengths)))}")
 
-    print("\n== Minkowski-norm property check ==")
-    report = check_finsler_properties(norm, 3, rng.standard_normal((50, 63)))
-    print(f"  homogeneity pass: {report.homogeneity_pass} "
-          f"(worst error {report.max_homogeneity_error:.2e})")
-    print(f"  smoothness pass:  {report.smoothness_pass}")
-    print(f"  Hessian PD pass:  {report.hessian_pass} "
-          f"(smallest eigenvalue {report.min_hessian_eigenvalue:.4f})")
+    print("\n== Minkowski-norm credentials ==")
+    gram = norm.weights**2
+    print(f"  F_p^2 / 2 is the quadratic form of diag(w^2): Hessian entries "
+          f"from {gram.min():.0f} to {gram.max():.0f} (p^2 = {config.p**2:.0f})")
+    y = rng.standard_normal(63)
+    print(f"  homogeneity |F_p(10 y) - 10 F_p(y)| = {abs(norm(10.0 * y) - 10.0 * norm(y)):.2e}")
 
     print("\n== distortion constants, exact and sampled ==")
     exact = distortion_constants(config)

@@ -51,12 +51,9 @@ from .io import (
 )
 from .metric import (
     MetricConfig,
-    NormPropertyReport,
     PenaltyNorm,
-    check_finsler_properties,
     default_penalty,
     distortion_constants,
-    half_square_hessian,
 )
 from .pauli import (
     CoeffVector,
@@ -100,7 +97,6 @@ __all__ = [
     "GateSequence",
     "IdentityComponentError",
     "MetricConfig",
-    "NormPropertyReport",
     "PauliString",
     "PenaltyNorm",
     "ScalingReport",
@@ -110,7 +106,6 @@ __all__ = [
     "ValidationError",
     "WitnessStats",
     "chart_segment_rho",
-    "check_finsler_properties",
     "check_segment_distortion",
     "check_sim_sandwich",
     "decompose",
@@ -127,7 +122,6 @@ __all__ = [
     "gate_product",
     "gates_from_dict",
     "gates_to_dict",
-    "half_square_hessian",
     "identity",
     "load_gates",
     "load_json",

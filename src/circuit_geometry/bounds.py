@@ -136,6 +136,14 @@ def check_segment_distortion(x_from: Unitary, x_to: Unitary, config: MetricConfi
     return BoundReport("segment-distortion", euclidean, observed, config.p * euclidean)
 
 
+def _require_positive(**values) -> None:
+    """Refuse, in the order given, the first value that is not positive and finite."""
+    for name, value in values.items():
+        value = _as_float(value)
+        if not (np.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 def gate_count_bounds_chart(
     distance: float, rho_inf: float, rho_sup: float, m_lower: float, m_upper: float
 ) -> tuple[float, float]:
@@ -146,11 +154,8 @@ def gate_count_bounds_chart(
     ``distance / (rho_sup * M)`` and ``distance / (rho_inf * m)`` segments,
     where ``(m, M)`` are the distortion constants.
     """
-    for name, value in (("distance", distance), ("rho_inf", rho_inf), ("rho_sup", rho_sup),
-                        ("m_lower", m_lower), ("m_upper", m_upper)):
-        value = _as_float(value)
-        if not (np.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+    _require_positive(distance=distance, rho_inf=rho_inf, rho_sup=rho_sup,
+                      m_lower=m_lower, m_upper=m_upper)
     return (distance / (rho_sup * m_upper), distance / (rho_inf * m_lower))
 
 
@@ -163,11 +168,8 @@ def gate_count_bounds_metric(
     count is at least ``distance / beta_sup`` and at most
     ``(M / m) * distance / beta_inf``.
     """
-    for name, value in (("distance", distance), ("beta_inf", beta_inf), ("beta_sup", beta_sup),
-                        ("m_lower", m_lower), ("m_upper", m_upper)):
-        value = _as_float(value)
-        if not (np.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+    _require_positive(distance=distance, beta_inf=beta_inf, beta_sup=beta_sup,
+                      m_lower=m_lower, m_upper=m_upper)
     return (distance / beta_sup, (m_upper / m_lower) * distance / beta_inf)
 
 

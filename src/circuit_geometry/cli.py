@@ -37,6 +37,7 @@ from .bounds import (
 from .charts import exp_coords, identity
 from .errors import DomainError, ValidationError
 from .io import (
+    _named,
     load_matrix,
     load_schedule,
     load_unitary,
@@ -191,7 +192,7 @@ def _bracket(unitary: str, p: float | None, segments: int):
 def decompose(matrix, **_):
     """Expand a traceless Hermitian matrix over the Pauli basis."""
     n, values = load_matrix(matrix)
-    coefficients = pauli_decompose(values, n)
+    coefficients = _named(matrix, pauli_decompose, values, n)
     results = {
         "n": n,
         "coefficients": coefficients.to_words(),

@@ -37,7 +37,7 @@ class BranchCutError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """A norm gave a non-finite value or a wrong shape, or the sampler a degenerate draw."""
+    """The distortion sampler drew a zero sample or got a non-finite ratio; nothing else raises it."""
 
 
 class CoefficientBoundError(ValidationError):

@@ -15,7 +15,9 @@ REMOVED = {
     "charts": ["ChartPoint", "CHART_RADIUS", "eigen_exp"],
     "cli": ["EXIT_INFEASIBLE"],
     "errors": ["InfeasibleError"],
-    "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values"],
+    "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values",
+               "check_finsler_properties", "half_square_hessian", "NormPropertyReport",
+               "_evaluate", "_central_gradient"],
     "paths": ["OptimizerSettings", "OptimizerStats"],
     "simulation": ["project_hamiltonian"],
 }

@@ -89,7 +89,18 @@ def test_decompose_rejects_non_hermitian(runner, tmp_path):
     result = runner.invoke(main, ["decompose", "--matrix", matrix,
                                   "--out", str(tmp_path / "r.json")])
     assert result.exit_code == 2
-    assert "not Hermitian" in result.output
+    assert f"error: {matrix}: matrix is not Hermitian" in result.output
+
+
+def test_decompose_overflowing_coefficients_exit_2_naming_the_file(runner, tmp_path):
+    # finite entries whose Pauli coefficients overflow: the refusal comes from CoeffVector
+    matrix = _write(tmp_path, "big.json", {
+        "n": 1, "re": [[0.0, 1e308], [1e308, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]],
+    })
+    result = runner.invoke(main, ["decompose", "--matrix", matrix,
+                                  "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert f"error: {matrix}: coefficient vector has non-finite entries" in result.output
 
 
 def test_missing_file_exits_2(runner, tmp_path):

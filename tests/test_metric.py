@@ -1,4 +1,4 @@
-"""Penalty norm, distortion constants, and empirical Minkowski-norm checks."""
+"""Penalty-norm configuration, weights and evaluation, and the distortion constants."""
 
 import tracemalloc
 
@@ -8,15 +8,12 @@ import pytest
 from circuit_geometry import (
     CoeffVector,
     DomainError,
-    EvaluationError,
     MetricConfig,
     PenaltyNorm,
     ValidationError,
-    check_finsler_properties,
     default_penalty,
     distortion_constants,
     enumerate_basis,
-    half_square_hessian,
     partition_k,
 )
 
@@ -159,95 +156,3 @@ def test_distortion_constants():
     assert distortion_constants(MetricConfig(3, 1.0)) == (1.0, 1.0)
     assert distortion_constants(MetricConfig(3, 4.0)) == (1.0, 4.0)
 
-
-def _euclidean(values):
-    return np.sqrt(np.sum(np.square(values), axis=-1))
-
-
-def test_hessian_euclidean_is_identity():
-    rng = np.random.default_rng(6)
-    point = rng.normal(size=15)
-    h = half_square_hessian(_euclidean, point)
-    assert np.max(np.abs(h - np.eye(15))) < 5e-6
-
-
-def test_hessian_penalty_norm_is_diagonal():
-    cfg = MetricConfig(3, 4.0)
-    norm = PenaltyNorm(cfg)
-    rng = np.random.default_rng(7)
-    point = rng.normal(size=63)
-    h = half_square_hessian(norm, point)
-    assert np.max(np.abs(h - np.diag(norm.weights**2))) < 1e-4
-
-
-def test_finsler_checks_pass_for_penalty_norm():
-    cfg = MetricConfig(2, 8.0)
-    norm = PenaltyNorm(cfg)
-    rng = np.random.default_rng(8)
-    points = [CoeffVector(2, rng.normal(size=15)) for _ in range(10)]
-    report = check_finsler_properties(norm, 2, points)
-    assert report.all_pass
-    assert report.min_hessian_eigenvalue > 0.9  # smallest weight is 1
-
-
-def test_finsler_checks_pass_for_euclidean():
-    rng = np.random.default_rng(9)
-    points = [rng.normal(size=15) for _ in range(5)]
-    report = check_finsler_properties(_euclidean, 2, points)
-    assert report.all_pass
-
-
-def test_finsler_checks_fail_for_one_norm():
-    # sum of absolute values: homogeneous and piecewise smooth, but the
-    # Hessian of its half square is the rank-1 outer product of signs
-    rng = np.random.default_rng(10)
-    points = [rng.normal(size=15) for _ in range(5)]
-    report = check_finsler_properties(lambda v: np.sum(np.abs(v), axis=-1), 2, points)
-    assert not report.hessian_pass
-    assert not report.all_pass
-    assert report.homogeneity_pass
-
-
-def test_finsler_checks_fail_for_inhomogeneous():
-    rng = np.random.default_rng(11)
-    points = [rng.normal(size=15) for _ in range(3)]
-    report = check_finsler_properties(lambda v: _euclidean(v) + 0.1, 2, points)
-    assert not report.homogeneity_pass
-
-
-def test_finsler_refuses_a_norm_of_the_wrong_shape():
-    # a norm callable is batched: one value per row, and nothing is retried row by row
-    def scalar_norm(values):
-        return float(np.sqrt(np.sum(np.square(values))))
-
-    rng = np.random.default_rng(12)
-    points = [rng.normal(size=3) for _ in range(3)]
-    with pytest.raises(EvaluationError, match=r"shape \(\) for a batch of 1 points"):
-        check_finsler_properties(scalar_norm, 1, points)
-    with pytest.raises(EvaluationError, match=r"shape \(3, 1\) for a batch of 3 points"):
-        half_square_hessian(lambda v: _euclidean(v)[:, None], np.ones(1))
-
-
-def test_finsler_propagates_batched_failure():
-    # a failure of the norm itself propagates as it is
-    def broken(values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1:
-            raise RuntimeError("broken norm")
-        return float(np.sqrt(np.sum(np.square(values))))
-
-    with pytest.raises(RuntimeError, match="broken norm"):
-        check_finsler_properties(broken, 1, [np.ones(3)])
-
-
-def test_finsler_rejects_zero_point():
-    with pytest.raises(DomainError):
-        check_finsler_properties(_euclidean, 1, [np.zeros(3)])
-    with pytest.raises(DomainError):
-        check_finsler_properties(_euclidean, 1, [])
-
-
-def test_finsler_non_finite_norm():
-    with pytest.raises(EvaluationError):
-        check_finsler_properties(lambda v: np.full(np.asarray(v).shape[0], np.nan), 1,
-                                 [np.ones(3)])
