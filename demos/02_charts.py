@@ -5,10 +5,10 @@ cut, and phase-insensitive distance between group elements."""
 import numpy as np
 
 from circuit_geometry import (
-    BranchCutError,
     CoeffVector,
     MetricConfig,
     Unitary,
+    ValidationError,
     distance_lower,
     exp_coords,
     identity,
@@ -42,7 +42,7 @@ def main():
     awkward = Unitary(2, np.diag(np.exp(1j * phases)))
     try:
         log_coords(awkward, identity(2))
-    except BranchCutError as exc:
+    except ValidationError as exc:
         print("rejected as expected:", exc)
     print(f"its distance, from the shortest logarithm modulo global phase: "
           f"{distance_lower(awkward, MetricConfig(2, 1.0)):.6f}")

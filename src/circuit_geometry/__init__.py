@@ -1,7 +1,7 @@
 """Penalty-metric circuit geometry on SU(2^n).
 
 Tangent directions are coordinates over the generalized Pauli basis; a
-weight-penalty Minkowski norm prices many-body directions; distances are
+weight-penalty Riemannian norm prices many-body directions; distances are
 bracketed between a chart lower bound and the length of an explicit
 schedule; and schedules compile into weight-two gate products whose
 count and length obey the verified sandwich inequalities.
@@ -26,14 +26,7 @@ from .charts import (
     phase_aligned_frobenius,
     unitary_exp,
 )
-from .errors import (
-    BranchCutError,
-    CoefficientBoundError,
-    DomainError,
-    EvaluationError,
-    IdentityComponentError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .io import (
     gates_from_dict,
     gates_to_dict,
@@ -88,14 +81,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "BranchCutError",
     "CoeffVector",
-    "CoefficientBoundError",
     "DistanceEstimate",
-    "DomainError",
-    "EvaluationError",
     "GateSequence",
-    "IdentityComponentError",
     "MetricConfig",
     "PauliString",
     "PenaltyNorm",

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Unitary, log_coords
-from .errors import DomainError, EvaluationError, ValidationError
+from .errors import ValidationError
 from .metric import MetricConfig, PenaltyNorm
-from .pauli import _as_float
+from .pauli import _as_float, _positive
 from .simulation import Schedule, SimulationResult, _synthesize
 
 #: Slack applied on both sides of a bound before declaring failure.
@@ -90,13 +90,14 @@ def estimate_distortion(norm, n: int, samples: int, seed: int = 0) -> tuple[floa
 
     ``norm`` must be the :class:`PenaltyNorm` of an ``n``-qubit configuration.
     Returns ``(m_hat, M_hat)``, inside the exact ``(1, p)`` up to rounding.
+    A ``p`` so large that ``p^2`` times a block sum overflows is refused.
     """
     if not isinstance(norm, PenaltyNorm):
-        raise DomainError(f"the distortion sampler takes a PenaltyNorm, got {type(norm).__name__}")
+        raise ValidationError(f"the distortion sampler takes a PenaltyNorm, got {type(norm).__name__}")
     if n != norm.config.n:
-        raise DomainError(f"qubit count {n} does not match the norm's {norm.config.n}")
+        raise ValidationError(f"qubit count {n} does not match the norm's {norm.config.n}")
     if samples < 1:
-        raise DomainError(f"sample count must be positive, got {samples}")
+        raise ValidationError(f"sample count must be positive, got {samples}")
     k = norm.config.k
     penalized = 4**n - 1 - k
     strata = 3 if penalized else 1
@@ -112,10 +113,14 @@ def estimate_distortion(norm, n: int, samples: int, seed: int = 0) -> tuple[floa
         sums[stratum == 2, 0] = 0.0
         lengths = sums[:, 0] + sums[:, 1]
         if np.any(lengths == 0.0):
-            raise EvaluationError("degenerate zero draw; change the seed")
-        ratios = np.sqrt((sums[:, 0] + p_squared * sums[:, 1]) / lengths)
+            raise ValidationError("degenerate zero draw; change the seed")
+        # p^2 S_p overflows for a p near the float limit (inf * 0 on the unpenalized stratum)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = np.sqrt((sums[:, 0] + p_squared * sums[:, 1]) / lengths)
         if not np.all(np.isfinite(ratios)):
-            raise EvaluationError("penalty norm evaluated to a non-finite ratio")
+            raise ValidationError(
+                f"penalty norm evaluated to a non-finite ratio: p = {norm.config.p} is too large to sample"
+            )
         low = min(low, float(np.min(ratios)))
         high = max(high, float(np.max(ratios)))
     return (low, high)
@@ -129,19 +134,11 @@ def check_segment_distortion(x_from: Unitary, x_to: Unitary, config: MetricConfi
     must sit between ``|y|`` and ``p |y|``.
     """
     if x_from.n != config.n:
-        raise DomainError(f"segment qubit count {x_from.n} does not match config {config.n}")
+        raise ValidationError(f"segment qubit count {x_from.n} does not match config {config.n}")
     y = log_coords(x_to, x_from)
     euclidean = y.norm
     observed = PenaltyNorm(config)(y)
     return BoundReport("segment-distortion", euclidean, observed, config.p * euclidean)
-
-
-def _require_positive(**values) -> None:
-    """Refuse, in the order given, the first value that is not positive and finite."""
-    for name, value in values.items():
-        value = _as_float(value)
-        if not (np.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def gate_count_bounds_chart(
@@ -154,8 +151,9 @@ def gate_count_bounds_chart(
     ``distance / (rho_sup * M)`` and ``distance / (rho_inf * m)`` segments,
     where ``(m, M)`` are the distortion constants.
     """
-    _require_positive(distance=distance, rho_inf=rho_inf, rho_sup=rho_sup,
-                      m_lower=m_lower, m_upper=m_upper)
+    for name, value in (("distance", distance), ("rho_inf", rho_inf), ("rho_sup", rho_sup),
+                        ("m_lower", m_lower), ("m_upper", m_upper)):
+        _positive(value, name)
     return (distance / (rho_sup * m_upper), distance / (rho_inf * m_lower))
 
 
@@ -168,8 +166,9 @@ def gate_count_bounds_metric(
     count is at least ``distance / beta_sup`` and at most
     ``(M / m) * distance / beta_inf``.
     """
-    _require_positive(distance=distance, beta_inf=beta_inf, beta_sup=beta_sup,
-                      m_lower=m_lower, m_upper=m_upper)
+    for name, value in (("distance", distance), ("beta_inf", beta_inf), ("beta_sup", beta_sup),
+                        ("m_lower", m_lower), ("m_upper", m_upper)):
+        _positive(value, name)
     return (distance / beta_sup, (m_upper / m_lower) * distance / beta_inf)
 
 
@@ -211,20 +210,19 @@ def gate_count_scaling(schedule: Schedule, config: MetricConfig, deltas) -> Scal
     the substep count).  Requires at least three widths spanning a factor
     of ``SCALING_MIN_SPAN``.
     """
-    widths = tuple(_as_float(d) for d in deltas)
+    widths = tuple(deltas)
     if len(widths) < 3:
-        raise DomainError(f"at least three slice widths are required, got {len(widths)}")
-    if any(not (np.isfinite(d) and d > 0) for d in widths):
-        raise DomainError("slice widths must be positive and finite")
+        raise ValidationError(f"at least three slice widths are required, got {len(widths)}")
+    widths = tuple(_positive(d, "slice widths") for d in widths)
     span = max(widths) / min(widths)
     if span < SCALING_MIN_SPAN * (1.0 - 1e-12):
-        raise DomainError(
+        raise ValidationError(
             f"slice widths span a factor of {span:.3f}; at least {SCALING_MIN_SPAN} is required"
         )
     # only the counts are read, so neither gate products nor endpoints are formed
     counts = [_synthesize(schedule, config, width).gates.size for width in widths]
     if any(c <= 0 for c in counts):
-        raise DomainError("schedule synthesizes to zero gates; nothing to fit")
+        raise ValidationError("schedule synthesizes to zero gates; nothing to fit")
     x = np.log(1.0 / np.array(widths))
     y = np.log(np.array(counts, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutError, DomainError, ValidationError
+from .errors import ValidationError
 from .pauli import CoeffVector, _check_qubit_count, decompose, reconstruct
 
 UNITARY_TOL = 1e-9
@@ -92,7 +92,7 @@ def phase_aligned_frobenius(a: np.ndarray, b: np.ndarray) -> float:
 def exp_coords(y: CoeffVector, base: Unitary) -> Unitary:
     """Map chart coordinates to the group: ``exp(-i sum_i y_i sigma_i) @ base``."""
     if y.n != base.n:
-        raise DomainError(f"coordinate qubit count {y.n} does not match base {base.n}")
+        raise ValidationError(f"coordinate qubit count {y.n} does not match base {base.n}")
     return Unitary(base.n, unitary_exp(reconstruct(y)) @ base.matrix)
 
 
@@ -111,16 +111,15 @@ def log_coords(x: Unitary, base: Unitary) -> CoeffVector:
 
     Raises
     ------
-    BranchCutError
-        If any eigenvalue of the relative rotation lies within
-        ``BRANCH_GAP`` of -1.
     ValidationError
-        If the principal branch fails to reproduce ``x`` to
+        If any eigenvalue of the relative rotation lies within
+        ``BRANCH_GAP`` of -1, where the principal branch is discontinuous,
+        or if the principal branch fails to reproduce ``x`` to
         ``ROUNDTRIP_TOL`` (a global-phase obstruction: the traceful part
         removed was not an integer multiple of a representable phase).
     """
     if x.n != base.n:
-        raise DomainError(f"point qubit count {x.n} does not match base {base.n}")
+        raise ValidationError(f"point qubit count {x.n} does not match base {base.n}")
     dim = 2**x.n
     relative = x.matrix @ base.matrix.conj().T
     eigenvalues, vectors = np.linalg.eig(relative)
@@ -128,7 +127,8 @@ def log_coords(x: Unitary, base: Unitary) -> CoeffVector:
     gaps = np.abs(eigenvalues + 1.0)
     nearest = int(np.argmin(gaps))
     if gaps[nearest] < BRANCH_GAP:
-        raise BranchCutError(eigenvalues[nearest], BRANCH_GAP)
+        raise ValidationError(f"eigenvalue {eigenvalues[nearest]:.12f} lies within {BRANCH_GAP:.1e} of -1; "
+                              "the principal logarithm is not defined here")
     theta = np.angle(eigenvalues)
     generator = (frame * (-theta)) @ frame.conj().T
     alpha = float(np.trace(generator).real) / dim

@@ -35,7 +35,7 @@ from .bounds import (
     gate_count_scaling,
 )
 from .charts import exp_coords, identity
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .io import (
     _named,
     load_matrix,
@@ -102,7 +102,7 @@ def _fail(code: int, message: str) -> None:
 def _guarded(body):
     try:
         body()
-    except (ValidationError, DomainError) as exc:
+    except ValidationError as exc:
         _fail(EXIT_INVALID, str(exc))
     except OSError as exc:
         _fail(EXIT_INVALID, f"{exc.filename or ''}: {exc.strerror or exc}")

@@ -75,6 +75,9 @@ def _as_complex(payload: dict, path: str) -> tuple[int, np.ndarray]:
     dim = 2**n
     _require(re.shape == (dim, dim), f"{path}: 're' must be a {dim}x{dim} array, got {re.shape}")
     _require(im.shape == (dim, dim), f"{path}: 'im' must be a {dim}x{dim} array, got {im.shape}")
+    # numpy reads true as 1 and "2" as 2.0; a JSON number is an int or a float, and never a bool
+    kinds = {type(v) for part in ("re", "im") for row in payload[part] for v in row}
+    _require(kinds <= {int, float}, f"{path}: matrix entries must be numbers")
     _require(np.all(np.isfinite(re)) and np.all(np.isfinite(im)), f"{path}: matrix entries must be finite")
     return n, re + 1j * im
 
@@ -84,7 +87,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .pauli import CoeffVector, _as_float, _check_qubit_count, partition_k, weight_vector
 
 #: Pauli weight at which the penalty starts to apply.
@@ -73,7 +73,7 @@ class PenaltyNorm:
         """``sqrt(sum((w * y)^2))`` over the last axis of ``y``."""
         values = y.values if isinstance(y, CoeffVector) else np.asarray(y, dtype=float)
         if values.shape[-1] != self.dimension:
-            raise DomainError(
+            raise ValidationError(
                 f"expected last dimension {self.dimension}, got shape {values.shape}"
             )
         scaled = self.weights * values

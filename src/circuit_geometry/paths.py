@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Unitary, _shortest_log, phase_aligned_frobenius
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .metric import MetricConfig, PenaltyNorm, distortion_constants
 from .simulation import MAX_WITNESS_COEFFICIENTS, Schedule, schedule_endpoint
 
@@ -37,7 +37,7 @@ def path_length(path: Schedule, config: MetricConfig) -> float:
     of segment terms, not on how the path was assembled.
     """
     if path.n != config.n:
-        raise DomainError(f"path qubit count {path.n} does not match config {config.n}")
+        raise ValidationError(f"path qubit count {path.n} does not match config {config.n}")
     taus = np.diff(np.append(path.times, path.duration))
     return math.fsum(PenaltyNorm(config)(path.values) * taus)
 
@@ -50,7 +50,7 @@ def distance_lower(target: Unitary, config: MetricConfig) -> float:
     penalty norm): every target has one, on the projective group.
     """
     if target.n != config.n:
-        raise DomainError(f"target qubit count {target.n} does not match config {config.n}")
+        raise ValidationError(f"target qubit count {target.n} does not match config {config.n}")
     m_lower, _ = distortion_constants(config)
     return m_lower * _shortest_log(target).norm
 
@@ -98,19 +98,19 @@ def distance_upper(target: Unitary, config: MetricConfig, segments: int = 8) -> 
     within ``IDENTITY_SHORTCUT`` of the identity gets the empty witness.
 
     Raises ``ValidationError`` unless ``segments`` is an integer (not a bool)
-    of at least 1, and ``DomainError``, before building the witness, for a
-    witness above :data:`MAX_WITNESS_COEFFICIENTS` coefficients.  A witness
-    endpoint that misses the target by more than ``ENDPOINT_TOL`` is a fault
-    of the package and raises ``RuntimeError``.
+    of at least 1, and, before building the witness, for a witness above
+    :data:`MAX_WITNESS_COEFFICIENTS` coefficients.  A witness endpoint that
+    misses the target by more than ``ENDPOINT_TOL`` is a fault of the
+    package and raises ``RuntimeError``.
     """
     if isinstance(segments, bool) or not isinstance(segments, numbers.Integral) or segments < 1:
         raise ValidationError(f"segments must be an integer of at least 1, got {segments!r}")
     if target.n != config.n:
-        raise DomainError(f"target qubit count {target.n} does not match config {config.n}")
+        raise ValidationError(f"target qubit count {target.n} does not match config {config.n}")
     n_segments = int(segments)
     coefficients = n_segments * (4**config.n - 1)
     if coefficients > MAX_WITNESS_COEFFICIENTS:
-        raise DomainError(f"a witness of {n_segments} segments at n = {config.n} holds {coefficients} "
+        raise ValidationError(f"a witness of {n_segments} segments at n = {config.n} holds {coefficients} "
                           f"coefficients; the limit is {MAX_WITNESS_COEFFICIENTS} coefficients")
 
     subgroup = _shortest_log(target)

@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, IdentityComponentError, ValidationError
+from .errors import ValidationError
 
 LETTERS = "IXYZ"
 
@@ -96,9 +96,9 @@ class PauliString:
 
 def _check_qubit_count(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"qubit count must be an integer, got {n!r}")
+        raise ValidationError(f"qubit count must be an integer, got {n!r}")
     if not 1 <= n <= MAX_QUBITS:
-        raise DomainError(f"qubit count must be between 1 and {MAX_QUBITS}, got {n}")
+        raise ValidationError(f"qubit count must be between 1 and {MAX_QUBITS}, got {n}")
 
 
 def _as_float(value) -> float:
@@ -107,6 +107,14 @@ def _as_float(value) -> float:
         return float(value)
     except OverflowError:
         return np.inf if value > 0 else -np.inf
+
+
+def _positive(value, what: str) -> float:
+    """``_as_float(value)`` when it is positive and finite; ``ValidationError`` naming ``what`` otherwise."""
+    value = _as_float(value)
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"{what} must be positive and finite, got {value}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +138,7 @@ def partition_k(n: int) -> int:
     letter pairs per unordered qubit pair).
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"qubit count must be a positive integer, got {n!r}")
+        raise ValidationError(f"qubit count must be a positive integer, got {n!r}")
     return 9 * (n * n - n) // 2 + 3 * n
 
 
@@ -265,19 +273,16 @@ def decompose(matrix: np.ndarray, n: int) -> CoeffVector:
 
     Raises
     ------
-    DomainError
-        If the matrix shape does not match ``n``.
     ValidationError
-        If the matrix has a non-finite entry or is not Hermitian to within
-        ``HERMITIAN_TOL``.
-    IdentityComponentError
-        If the trace exceeds ``TRACE_TOL`` in magnitude.
+        If the matrix shape does not match ``n``, the matrix has a non-finite
+        entry, it is not Hermitian to within ``HERMITIAN_TOL``, or its trace
+        exceeds ``TRACE_TOL`` in magnitude.
     """
     _check_qubit_count(n)
     matrix = np.asarray(matrix, dtype=complex)
     dim = 2**n
     if matrix.shape != (dim, dim):
-        raise DomainError(f"expected a ({dim}, {dim}) matrix for n={n}, got shape {matrix.shape}")
+        raise ValidationError(f"expected a ({dim}, {dim}) matrix for n={n}, got shape {matrix.shape}")
     # every comparison with NaN is False: refuse it before the tolerance checks
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("matrix has non-finite entries")
@@ -286,7 +291,8 @@ def decompose(matrix: np.ndarray, n: int) -> CoeffVector:
         raise ValidationError(f"matrix is not Hermitian: max |H - H^dagger| = {hermitian_defect:.3e}")
     trace = complex(np.trace(matrix))
     if abs(trace) > TRACE_TOL:
-        raise IdentityComponentError(trace)
+        raise ValidationError(f"matrix has a nonzero identity component: trace = {trace:.6e}; "
+                              "subtract (trace / dim) * I before decomposing")
     # tr(sigma_k @ H) = sum_r phase[k, r] H[source[k, r], r]
     source, phase = word_actions(n)
     coefficients = np.einsum("kr,kr->k", phase, matrix[source, np.arange(dim)]).real / dim

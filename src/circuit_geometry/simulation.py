@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Unitary, phase_aligned_frobenius, unitary_exp
-from .errors import CoefficientBoundError, DomainError, ValidationError
+from .errors import ValidationError
 from .metric import PENALIZED_WEIGHT, MetricConfig
-from .pauli import (CoeffVector, _as_float, _check_qubit_count, enumerate_basis, reconstruct, weight_vector,
-                    word_actions)
+from .pauli import (CoeffVector, _as_float, _check_qubit_count, _positive, enumerate_basis, reconstruct,
+                    weight_vector, word_actions)
 
 #: Guard for float division when counting slices and substeps: a duration
 #: that is an exact multiple of delta must not gain a spurious extra slice.
@@ -78,8 +78,7 @@ class Schedule:
             if self.duration != 0.0:
                 raise ValidationError(f"a schedule without samples has duration 0, got {self.duration}")
         else:
-            if not (np.isfinite(self.duration) and self.duration > 0):
-                raise ValidationError(f"duration must be positive and finite, got {self.duration}")
+            _positive(self.duration, "duration")
             if times[0] != 0.0:
                 raise ValidationError(f"first sample time must be 0, got {times[0]}")
             if np.any(np.diff(times) <= 0):
@@ -114,9 +113,8 @@ class Schedule:
         that carries it past the largest float, raises ``ValidationError``.
         """
         times = [0.0]
-        for index, tau in enumerate(map(_as_float, taus)):
-            if not (np.isfinite(tau) and tau > 0):
-                raise ValidationError(f"segment {index} duration must be positive and finite, got {tau}")
+        for index, tau in enumerate(taus):
+            tau = _positive(tau, f"segment {index} duration")
             start, end = times[-1], times[-1] + tau
             if not np.isfinite(end):
                 raise ValidationError(f"segment {index} (tau {tau}) ends past the largest float, from time {start}")
@@ -140,20 +138,18 @@ class Schedule:
     def value_at(self, t: float) -> np.ndarray:
         """Signal value at time ``t`` (held constant past the last sample)."""
         if self.times.size == 0:
-            raise DomainError("the empty schedule has no values")
+            raise ValidationError("the empty schedule has no values")
         if not 0.0 <= t <= self.duration:
-            raise DomainError(f"time {t} outside [0, {self.duration}]")
+            raise ValidationError(f"time {t} outside [0, {self.duration}]")
         index = int(np.searchsorted(self.times, t, side="right")) - 1
         return self.values[index].copy()
 
 
 def _slice_count(duration: float, delta: float) -> float:
     """Number of width-``delta`` slices covering ``duration``, as a float (may be huge)."""
-    delta = _as_float(delta)
-    if not (np.isfinite(delta) and delta > 0):
-        raise DomainError(f"slice width must be positive and finite, got {delta}")
+    delta = _positive(delta, "slice width")
     if delta > duration * (1.0 + COUNT_GUARD):
-        raise DomainError(f"slice width {delta} exceeds the duration {duration}")
+        raise ValidationError(f"slice width {delta} exceeds the duration {duration}")
     return float(np.ceil(duration / delta - COUNT_GUARD))
 
 
@@ -197,7 +193,7 @@ def slice_mean(schedule: Schedule, delta: float) -> list[CoeffVector]:
 def project_schedule(schedule: Schedule, config: MetricConfig) -> Schedule:
     """Apply the weight projection to every sample row."""
     if schedule.n != config.n:
-        raise DomainError(f"schedule qubit count {schedule.n} does not match config {config.n}")
+        raise ValidationError(f"schedule qubit count {schedule.n} does not match config {config.n}")
     kept = np.where(weight_vector(schedule.n) < PENALIZED_WEIGHT, schedule.values, 0.0)
     return Schedule(schedule.n, schedule.times, kept, schedule.duration)
 
@@ -251,9 +247,7 @@ class GateSequence:
         _refuse_first((gates < 0) | (gates >= words), gates, angles, f"position outside 0..{words - 1}")
         _refuse_first(weight_vector(self.n)[gates] > 2, gates, angles, "word of weight above two", self.n)
         _refuse_first(~np.isfinite(angles), gates, angles, "non-finite angle", self.n)
-        object.__setattr__(self, "delta", _as_float(self.delta))
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValidationError(f"'delta' must be positive and finite, got {self.delta}")
+        object.__setattr__(self, "delta", _positive(self.delta, "'delta'"))
         gates.flags.writeable = False
         angles.flags.writeable = False
         object.__setattr__(self, "gates", gates)
@@ -288,13 +282,10 @@ def synthesize_gates(means, delta: float, config: MetricConfig) -> GateSequence:
     ``exp(-i y_i sigma_i delta / m)`` per nonzero coefficient in canonical
     basis order.
 
-    Raises ``CoefficientBoundError`` when any mean coefficient exceeds 1
-    in magnitude and ``ValidationError`` when a mean has weight-three
-    support (project first).
+    Raises ``ValidationError`` when any mean coefficient exceeds 1 in
+    magnitude or a mean has weight-three support (project first).
     """
-    delta = _as_float(delta)
-    if not (np.isfinite(delta) and 0 < delta):
-        raise DomainError(f"slice width must be positive and finite, got {delta}")
+    delta = _positive(delta, "slice width")
     substeps = _substeps(delta)
     # a substep spans delta * (1 / substeps), which is delta * delta at delta = 1/m
     fraction = 1.0 / substeps
@@ -303,14 +294,17 @@ def synthesize_gates(means, delta: float, config: MetricConfig) -> GateSequence:
     angles = [np.empty(0)]
     for mean in means:
         if mean.n != config.n:
-            raise DomainError(f"mean qubit count {mean.n} does not match config {config.n}")
+            raise ValidationError(f"mean qubit count {mean.n} does not match config {config.n}")
         if np.any((weights >= PENALIZED_WEIGHT) & (mean.values != 0.0)):
             raise ValidationError(
                 "slice mean has weight-three-or-higher support; apply the projection first"
             )
         worst = float(np.max(np.abs(mean.values), initial=0.0))
         if worst > 1.0:
-            raise CoefficientBoundError(worst)
+            raise ValidationError(
+                f"slice-mean coefficient {worst:.6f} exceeds 1 in absolute value; "
+                "rescale the schedule (the gate-angle accounting assumes |y_i| <= 1)"
+            )
         words = np.flatnonzero(mean.values)
         slice_angles = mean.values[words] * delta * fraction
         gates.append(np.tile(words, int(substeps)))
@@ -407,13 +401,13 @@ class SimulationResult:
 def _synthesize(schedule: Schedule, config: MetricConfig, delta: float) -> GateSequence:
     """Project, slice and synthesize ``schedule``, refusing an oversize synthesis first."""
     if schedule.n != config.n:
-        raise DomainError(f"schedule qubit count {schedule.n} does not match config {config.n}")
+        raise ValidationError(f"schedule qubit count {schedule.n} does not match config {config.n}")
     projected = project_schedule(schedule, config)
     slices = _slice_count(schedule.duration, delta)
     words = max(1, np.count_nonzero(np.any(projected.values != 0.0, axis=0)))
     gates = slices * _substeps(delta) * words
     if slices > MAX_SLICES or gates > MAX_GATES:
-        raise DomainError(
+        raise ValidationError(
             f"synthesis at delta {delta} needs {slices:.3g} slices and {gates:.3g} gates; "
             f"the limit is {MAX_SLICES} slices and {MAX_GATES} gates"
         )
@@ -434,7 +428,7 @@ def simulate(schedule: Schedule, config: MetricConfig, delta: float) -> Simulati
     gate product and the exact (unprojected) endpoint, normalized by
     ``2^(n/2)`` so the value is comparable across qubit counts.
 
-    Raises ``DomainError`` before synthesizing when the slice count exceeds
+    Raises ``ValidationError`` before synthesizing when the slice count exceeds
     :data:`MAX_SLICES` or the closed-form gate count exceeds :data:`MAX_GATES`.
     """
     sequence = _synthesize(schedule, config, delta)

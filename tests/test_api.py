@@ -1,6 +1,8 @@
 """The public surface: every exported name resolves, and removed names stay removed."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 from click.testing import CliRunner
@@ -8,13 +10,15 @@ from click.testing import CliRunner
 import circuit_geometry
 from circuit_geometry.cli import main
 
-#: Names deleted when each job was left with a single public entry point, and
-#: the "infeasible" outcome, which no target has once every target gets a bracket.
+#: Names deleted when each job was left with a single public entry point, the
+#: "infeasible" outcome, which no target has once every target gets a bracket,
+#: and the exception classes folded into the one refusal type, ``ValidationError``.
 REMOVED = {
-    "bounds": ["_strata"],
+    "bounds": ["_strata", "_require_positive"],
     "charts": ["ChartPoint", "CHART_RADIUS", "eigen_exp"],
     "cli": ["EXIT_INFEASIBLE"],
-    "errors": ["InfeasibleError"],
+    "errors": ["InfeasibleError", "DomainError", "IdentityComponentError", "CoefficientBoundError",
+               "BranchCutError", "EvaluationError"],
     "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values",
                "check_finsler_properties", "half_square_hessian", "NormPropertyReport",
                "_evaluate", "_central_gradient"],
@@ -36,6 +40,24 @@ def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"circuit_geometry.{module}"), name)
     with pytest.raises(ImportError):
         exec(f"from circuit_geometry import {name}", {})
+
+
+SOURCES = sorted(pathlib.Path(circuit_geometry.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_every_raise_is_a_refusal_or_a_fault(path):
+    # a refusal is a ValidationError and a fault a RuntimeError; no other exception class comes back
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            assert isinstance(raised, ast.Name) and raised.id in ("ValidationError", "RuntimeError"), \
+                f"{path.name}:{node.lineno}"
+
+
+def test_the_one_exception_class_is_validation_error():
+    tree = ast.parse(pathlib.Path(circuit_geometry.errors.__file__).read_text(encoding="utf-8"))
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == ["ValidationError"]
 
 
 def test_removed_modules_are_gone():

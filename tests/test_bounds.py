@@ -1,5 +1,6 @@
 """Distortion sampling, sandwich checks, and count brackets."""
 
+import warnings
 import zlib
 
 import numpy as np
@@ -9,8 +10,6 @@ from scipy.stats import ks_2samp
 from circuit_geometry import (
     BoundReport,
     CoeffVector,
-    DomainError,
-    EvaluationError,
     GateSequence,
     MetricConfig,
     PenaltyNorm,
@@ -71,22 +70,22 @@ _ONE_QUBIT = MetricConfig(1, 2.0)
 _X_FOR_ONE = Schedule.constant(CoeffVector(1, [0.5, 0.0, 0.0]), 1.0)
 
 
-@pytest.mark.parametrize("error, build", [
-    (ValidationError, lambda: GateSequence(1, [0], [0.1], _HUGE)),
-    (ValidationError, lambda: Schedule(1, np.zeros(1), np.zeros((1, 3)), _HUGE)),
-    (ValidationError, lambda: Schedule.from_segments(1, np.zeros((1, 3)), [_HUGE])),
-    (ValidationError, lambda: MetricConfig(2, _HUGE)),
-    (DomainError, lambda: simulate(_X_FOR_ONE, _ONE_QUBIT, _HUGE)),
-    (DomainError, lambda: synthesize_gates([], -_HUGE, _ONE_QUBIT)),
-    (DomainError, lambda: gate_count_scaling(_X_FOR_ONE, _ONE_QUBIT, [0.5, 0.25, _HUGE])),
-    (ValidationError, lambda: BoundReport("x", 0, _HUGE, 1)),
-    (DomainError, lambda: gate_count_bounds_chart(1.0, 0.1, 0.2, 1.0, _HUGE)),
-    (DomainError, lambda: gate_count_bounds_metric(_HUGE, 0.1, 0.2, 1.0, 2.0)),
+@pytest.mark.parametrize("build", [
+    lambda: GateSequence(1, [0], [0.1], _HUGE),
+    lambda: Schedule(1, np.zeros(1), np.zeros((1, 3)), _HUGE),
+    lambda: Schedule.from_segments(1, np.zeros((1, 3)), [_HUGE]),
+    lambda: MetricConfig(2, _HUGE),
+    lambda: simulate(_X_FOR_ONE, _ONE_QUBIT, _HUGE),
+    lambda: synthesize_gates([], -_HUGE, _ONE_QUBIT),
+    lambda: gate_count_scaling(_X_FOR_ONE, _ONE_QUBIT, [0.5, 0.25, _HUGE]),
+    lambda: BoundReport("x", 0, _HUGE, 1),
+    lambda: gate_count_bounds_chart(1.0, 0.1, 0.2, 1.0, _HUGE),
+    lambda: gate_count_bounds_metric(_HUGE, 0.1, 0.2, 1.0, 2.0),
 ], ids=["gate-delta", "schedule-duration", "segment-tau", "penalty", "simulate-delta",
         "synthesis-delta", "scaling-width", "bound-report", "chart-count", "metric-count"])
-def test_an_int_beyond_the_float_range_gets_the_documented_error(error, build):
+def test_an_int_beyond_the_float_range_gets_the_documented_error(build):
     # np.isfinite raises a bare TypeError on such an int; it must read as infinite
-    with pytest.raises(error, match="finite"):
+    with pytest.raises(ValidationError, match="finite"):
         build()
 
 
@@ -178,7 +177,7 @@ def _reference_estimate(norm, n, samples, seed=0):
                 draws[np.ix_(rows, ~keep)] = 0.0
         lengths = np.sqrt(np.sum(np.square(draws), axis=-1))
         if np.any(lengths == 0.0):
-            raise EvaluationError("degenerate zero draw; change the seed")
+            raise ValidationError("degenerate zero draw; change the seed")
         ratios = norm(draws) / lengths
         low = min(low, float(np.min(ratios)))
         high = max(high, float(np.max(ratios)))
@@ -228,19 +227,21 @@ def test_estimate_distortion_deterministic():
 
 def test_estimate_distortion_rejects_bad_inputs(monkeypatch):
     norm = PenaltyNorm(MetricConfig(2, 2.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="sample count must be positive, got 0"):
         estimate_distortion(norm, 2, 0)
 
-    # p^2 overflows to infinity
-    with np.errstate(invalid="ignore"), pytest.raises(EvaluationError):
-        estimate_distortion(PenaltyNorm(MetricConfig(3, 1e200)), 3, 10)
+    # p^2 overflows to infinity: a refusal naming p, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"non-finite ratio: p = 1e\+200 is too large to sample"):
+            estimate_distortion(PenaltyNorm(MetricConfig(3, 1e200)), 3, 10)
 
     class Zeros:
         def standard_gamma(self, shape, size):
             return np.zeros(size)
 
     monkeypatch.setattr(bounds, "_stream", lambda seed: Zeros())
-    with pytest.raises(EvaluationError):
+    with pytest.raises(ValidationError, match="degenerate zero draw; change the seed"):
         estimate_distortion(norm, 2, 10)
 
 
@@ -248,12 +249,12 @@ def test_estimate_distortion_refuses_other_norms():
     def euclidean(points):
         return np.sqrt(np.sum(np.square(points), axis=-1))
 
-    with pytest.raises(DomainError, match="PenaltyNorm"):
+    with pytest.raises(ValidationError, match="PenaltyNorm"):
         estimate_distortion(euclidean, 2, 100)
 
 
 def test_estimate_distortion_refuses_a_mismatched_qubit_count():
-    with pytest.raises(DomainError, match="does not match"):
+    with pytest.raises(ValidationError, match="does not match"):
         estimate_distortion(PenaltyNorm(MetricConfig(3, 2.0)), 2, 100)
 
 
@@ -286,7 +287,7 @@ def test_segment_distortion_random_pairs_pass():
 
 
 def test_segment_distortion_qubit_mismatch():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="segment qubit count 1 does not match config 2"):
         check_segment_distortion(identity(1), identity(1), MetricConfig(2, 2.0))
 
 
@@ -301,10 +302,10 @@ def test_chart_count_bounds_example():
 
 
 def test_chart_count_bounds_positivity():
-    for args in ((0.0, 0.1, 0.2, 1.0, 4.0),
-                 (1.0, -0.1, 0.2, 1.0, 4.0),
-                 (1.0, 0.1, 0.2, 1.0, np.inf)):
-        with pytest.raises(DomainError):
+    for args, message in (((0.0, 0.1, 0.2, 1.0, 4.0), "distance must be positive and finite, got 0.0"),
+                          ((1.0, -0.1, 0.2, 1.0, 4.0), "rho_inf must be positive and finite, got -0.1"),
+                          ((1.0, 0.1, 0.2, 1.0, np.inf), "m_upper must be positive and finite, got inf")):
+        with pytest.raises(ValidationError, match=message):
             gate_count_bounds_chart(*args)
 
 
@@ -320,7 +321,7 @@ def test_metric_count_bounds_collapse():
 
 
 def test_metric_count_bounds_positivity():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="beta_inf must be positive and finite, got 0.0"):
         gate_count_bounds_metric(1.0, 0.0, 1.0, 1.0, 4.0)
 
 
@@ -395,16 +396,16 @@ def test_scaling_report_is_plain_data():
 def test_scaling_input_validation():
     config = MetricConfig(1, 1.0)
     schedule = Schedule.constant(_coeffs(1, {"X": 0.5}), 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="at least three slice widths are required, got 2"):
         gate_count_scaling(schedule, config, (0.2, 0.1))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="slice widths span a factor of 2.000; at least 4.0 is required"):
         gate_count_scaling(schedule, config, (0.2, 0.15, 0.1))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="slice widths must be positive and finite, got -0.1"):
         gate_count_scaling(schedule, config, (0.2, -0.1, 0.05))
 
 
 def test_scaling_zero_schedule_rejected():
     config = MetricConfig(1, 1.0)
     schedule = Schedule.constant(CoeffVector.zeros(1), 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="schedule synthesizes to zero gates; nothing to fit"):
         gate_count_scaling(schedule, config, (0.2, 0.1, 0.05))

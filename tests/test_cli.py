@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import click
 import numpy as np
@@ -118,6 +119,15 @@ def test_malformed_json_exits_2(runner, tmp_path):
     assert "invalid JSON" in result.output
 
 
+def test_a_file_that_is_not_utf8_is_refused_as_invalid_json(runner, tmp_path):
+    # JSON text is UTF-8; a decode failure is a refusal, not an internal error
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    result = runner.invoke(main, ["decompose", "--matrix", str(bad), "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {bad}: invalid JSON ('utf-8' codec can't decode byte 0xff")
+
+
 #: A JSON integer with 401 digits: valid JSON, too large for a float.
 HUGE = 10**400
 
@@ -156,6 +166,28 @@ def test_non_finite_matrix_entry_exits_2_naming_the_file(runner, tmp_path, comma
     result = runner.invoke(main, [command, option, str(path), "--out", str(tmp_path / "r.json")])
     assert result.exit_code == 2, result.output
     assert f"error: {path}: matrix entries must be finite" in result.output
+
+
+@pytest.mark.parametrize("command, option", [("decompose", "--matrix"), ("distance", "--unitary")])
+def test_boolean_matrix_entry_exits_2_naming_the_file(runner, tmp_path, command, option):
+    # numpy would read true as 1: this identity would decompose to a trace error and get a distance
+    path = _write(tmp_path, "bool.json", {"n": 1, "re": [[True, 0], [0, True]], "im": [[0, 0], [0, 0]]})
+    result = runner.invoke(main, [command, option, path, "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {path}: matrix entries must be numbers\n"
+
+
+def test_distortion_refuses_a_penalty_too_large_to_sample(runner, tmp_path):
+    # p^2 overflows a float: a refusal naming p, not an internal error after a numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["distortion", "--n", "3", "--p", "1e160", "--samples", "100",
+                                      "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == ("error: penalty norm evaluated to a non-finite ratio: "
+                             "p = 1e+160 is too large to sample\n")
+    assert not [str(w.message) for w in caught]
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_distance_brackets_rotation(runner, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from circuit_geometry import (
     CoeffVector,
-    DomainError,
     MetricConfig,
     PenaltyNorm,
     ValidationError,
@@ -33,7 +32,7 @@ def test_config_rejects_bad_penalty():
 
 @pytest.mark.parametrize("n", [0, 7, True])
 def test_config_rejects_a_qubit_count_out_of_range(n):
-    with pytest.raises(DomainError, match="qubit count"):
+    with pytest.raises(ValidationError, match="qubit count"):
         MetricConfig(n, 2.0)
 
 
@@ -119,7 +118,7 @@ def test_norm_of_a_coefficient_vector_is_a_python_float():
 
 
 def test_norm_shape_error():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match=r"expected last dimension 15, got shape \(14,\)"):
         PenaltyNorm(MetricConfig(2, 2.0))(np.zeros(14))
 
 
@@ -131,7 +130,7 @@ def test_penalty_norm_callable():
     assert np.array_equal(norm(batch), np.sqrt(np.sum(np.square(norm.weights * batch), axis=-1)))
     assert norm.dimension == 63
     assert norm.penalized_mask.sum() == 63 - cfg.k
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match=r"expected last dimension 63, got shape \(10,\)"):
         norm(np.zeros(10))
 
 

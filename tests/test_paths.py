@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuit_geometry import (
-    BranchCutError,
     CoeffVector,
     DistanceEstimate,
-    DomainError,
     MetricConfig,
     PauliString,
     PenaltyNorm,
@@ -96,7 +94,7 @@ def test_length_formula():
     path = _path(1, [(y, 2.0)])
     assert path_length(path, cfg) == pytest.approx(0.6, abs=1e-15)
     assert path_length(_path(1, []), cfg) == 0.0
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="path qubit count 1 does not match config 2"):
         path_length(path, MetricConfig(2, 2.0))
 
 
@@ -146,7 +144,7 @@ BRANCH_CUT = Unitary(2, np.diag(np.exp(-1j * np.array([np.pi - 1e-9, -(np.pi - 1
 
 
 def test_distance_lower_branch_cut():
-    with pytest.raises(BranchCutError):
+    with pytest.raises(ValidationError, match="of -1; the principal logarithm is not defined here"):
         log_coords(BRANCH_CUT, identity(2))
     lower = distance_lower(BRANCH_CUT, MetricConfig(2, 2.0))
     assert lower == pytest.approx(1.5850555511629048, abs=1e-12)
@@ -394,7 +392,7 @@ def test_distance_upper_six_qubits_256_legs_is_fast(monkeypatch):
 
 def test_distance_upper_refuses_a_witness_over_the_coefficient_limit():
     # 257 legs x 4095 words at n = 6 is 1,052,415 coefficients, just over 2**20
-    with pytest.raises(DomainError) as caught:
+    with pytest.raises(ValidationError) as caught:
         distance_upper(identity(6), MetricConfig(6, 64.0), 257)
     assert str(caught.value) == ("a witness of 257 segments at n = 6 holds 1052415 coefficients; "
                                  "the limit is 1048576 coefficients")

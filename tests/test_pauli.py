@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from circuit_geometry import (
     CoeffVector,
-    DomainError,
-    IdentityComponentError,
     PauliString,
     ValidationError,
     decompose,
@@ -92,9 +90,9 @@ def test_word_actions_read_only():
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_qubit_count_domain(n):
     enumerate_basis(n)  # in range: no error
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="qubit count must be between 1 and 6, got 0"):
         enumerate_basis(0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="qubit count must be between 1 and 6, got 7"):
         enumerate_basis(7)
 
 
@@ -150,7 +148,7 @@ def test_coords_round_trip_is_identity():
 
 
 def test_decompose_rejects_identity_component():
-    with pytest.raises(IdentityComponentError):
+    with pytest.raises(ValidationError, match="matrix has a nonzero identity component"):
         decompose(np.eye(2), 1)
 
 
@@ -161,7 +159,7 @@ def test_decompose_rejects_non_hermitian():
 
 
 def test_decompose_rejects_wrong_shape():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match=r"expected a \(4, 4\) matrix for n=2, got shape \(2, 2\)"):
         decompose(np.zeros((2, 2)), 2)
 
 
@@ -170,7 +168,7 @@ def test_coeff_vector_validation():
         CoeffVector(1, np.zeros(4))
     with pytest.raises(ValidationError):
         CoeffVector(1, np.array([1.0, np.nan, 0.0]))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="qubit count must be between 1 and 6, got 0"):
         CoeffVector(0, np.zeros(0))
 
 

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from circuit_geometry import (
     CoeffVector,
-    CoefficientBoundError,
-    DomainError,
     GateSequence,
     MetricConfig,
     PauliString,
@@ -76,7 +74,7 @@ def test_schedule_validation():
         Schedule(1, np.array([0.0]), np.zeros((1, 3)), 0.0)
     # the empty schedule (the identity path) has no samples and no duration
     empty = Schedule(1, np.array([]), np.zeros((0, 3)), 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="the empty schedule has no values"):
         empty.value_at(0.0)
     with pytest.raises(ValidationError):
         Schedule(1, np.array([]), np.zeros((0, 3)), 1.0)
@@ -95,7 +93,7 @@ def test_value_at_constant_hold():
     assert sched.value_at(0.49)[0] == 1.0
     assert sched.value_at(0.5)[0] == 2.0
     assert sched.value_at(1.0)[0] == 2.0
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match=r"time 1.5 outside \[0, 1.0\]"):
         sched.value_at(1.5)
 
 
@@ -114,9 +112,9 @@ def test_slice_edges_truncated_final():
 
 
 def test_slice_edges_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="slice width must be positive and finite, got 0.0"):
         slice_edges(1.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="slice width 2.0 exceeds the duration 1.0"):
         slice_edges(1.0, 2.0)
 
 
@@ -295,7 +293,7 @@ def test_synthesize_rejects_heavy_support():
 
 def test_synthesize_rejects_large_coefficients():
     cfg = MetricConfig(1, 1.0)
-    with pytest.raises(CoefficientBoundError):
+    with pytest.raises(ValidationError, match="slice-mean coefficient 1.500000 exceeds 1 in absolute value"):
         synthesize_gates([_coeffs(1, {"X": 1.5})], 0.2, cfg)
 
 
@@ -504,8 +502,8 @@ def test_simulate_refuses_oversize_synthesis():
     # slice and gate counts are checked in closed form before synthesis; a
     # schedule the projection empties still counts one gate per substep
     heavy = Schedule.constant(_coeffs(3, {"XXX": 0.5}), 1e-12)
-    with pytest.raises(DomainError, match="limit"):
+    with pytest.raises(ValidationError, match="limit"):
         simulate(heavy, MetricConfig(3, 8.0), 1e-12)
     long = Schedule.constant(_coeffs(1, {"X": 0.5}), 5000.0)
-    with pytest.raises(DomainError, match="4096 slices"):
+    with pytest.raises(ValidationError, match="4096 slices"):
         simulate(long, MetricConfig(1, 2.0), 1.0)
