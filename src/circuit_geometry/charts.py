@@ -42,8 +42,10 @@ class Unitary:
             )
         if not np.all(np.isfinite(matrix)):
             raise ValidationError("matrix entries must be finite")
-        defect = float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(dim))))
-        if defect > UNITARY_TOL:
+        # entries near 1e300 overflow U U^dagger to inf or nan: refuse either, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(dim))))
+        if not defect <= UNITARY_TOL:
             raise ValidationError(f"matrix is not unitary: max |U U^dagger - I| = {defect:.3e}")
         det = complex(np.linalg.det(matrix))
         if abs(det - 1.0) > DET_TOL:

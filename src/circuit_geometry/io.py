@@ -27,8 +27,8 @@ import numpy as np
 
 from .charts import Unitary
 from .errors import ValidationError
-from .pauli import MAX_QUBITS, CoeffVector, _word_positions, enumerate_basis
-from .simulation import GateSequence, Schedule
+from .pauli import MAX_QUBITS, CoeffVector, _word_positions, _words
+from .simulation import GateSequence, Schedule, _block_runs
 
 
 def _require(condition: bool, message: str) -> None:
@@ -150,9 +150,9 @@ def load_schedule(path: str) -> Schedule:
 
 def gates_to_dict(sequence: GateSequence) -> dict:
     """The gates format: each position written as its word's letters."""
-    basis = enumerate_basis(sequence.n)
+    letters = _words(sequence.n)[0]
     pairs = zip(sequence.gates.tolist(), sequence.angles.tolist())
-    gates = [{"pauli": basis[k].letters, "angle": angle} for k, angle in pairs]
+    gates = [{"pauli": letters[k], "angle": angle} for k, angle in pairs]
     return {"n": sequence.n, "delta": sequence.delta, "gates": gates}
 
 
@@ -189,11 +189,17 @@ def load_gates(path: str) -> GateSequence:
 
 def save_gates(path: str, sequence: GateSequence) -> None:
     """:func:`write_report` of :func:`gates_to_dict` from a template; json's indenting encoder is pure Python.
-    json too writes floats by ``float.__repr__``; :class:`GateSequence` refuses non-finite ones."""
-    letters = [word.letters for word in enumerate_basis(sequence.n)]
-    pairs = zip(sequence.gates.tolist(), sequence.angles.tolist())
-    body = ",\n".join([f'    {{\n      "angle": {angle!r},\n      "pauli": "{letters[k]}"\n    }}'
-                        for k, angle in pairs])
+    json too writes floats by ``float.__repr__``; :class:`GateSequence` refuses non-finite ones.
+    Each run of repeated blocks is formatted once."""
+    letters = _words(sequence.n)[0]
+    positions, angles = sequence.gates.tolist(), sequence.angles.tolist()
+    blocks = []
+    # runs compare the angles' bits, since 0.0 == -0.0 but their reprs differ
+    for lo, hi, count in _block_runs(sequence.gates, sequence.angles.view(np.int64)):
+        block = ",\n".join([f'    {{\n      "angle": {angle!r},\n      "pauli": "{letters[k]}"\n    }}'
+                            for k, angle in zip(positions[lo:hi], angles[lo:hi])])
+        blocks += [block] * count
+    body = ",\n".join(blocks)
     gates = f"[\n{body}\n  ]" if body else "[]"
     _write_atomic(path, f'{{\n  "delta": {json.dumps(sequence.delta)},\n  "gates": {gates},\n'
                         f'  "n": {json.dumps(sequence.n)}\n}}\n')

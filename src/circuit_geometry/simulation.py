@@ -20,8 +20,8 @@ import numpy as np
 from .charts import Unitary, phase_aligned_frobenius, unitary_exp
 from .errors import ValidationError
 from .metric import PENALIZED_WEIGHT, MetricConfig
-from .pauli import (CoeffVector, _as_float, _check_qubit_count, _positive, enumerate_basis, reconstruct,
-                    weight_vector, word_actions)
+from .pauli import (CoeffVector, _as_float, _check_qubit_count, _positive, _words, reconstruct, weight_vector,
+                    word_actions)
 
 #: Guard for float division when counting slices and substeps: a duration
 #: that is an exact multiple of delta must not gain a spurious extra slice.
@@ -265,7 +265,7 @@ def _refuse_first(bad: np.ndarray, gates: np.ndarray, angles: np.ndarray, what: 
     letters of its word on ``n`` qubits, or by its position when there is no ``n``."""
     if np.any(bad):
         index = int(np.argmax(bad))
-        word = f"position {gates[index]}" if n is None else enumerate_basis(n)[gates[index]].letters
+        word = f"position {gates[index]}" if n is None else _words(n)[0][gates[index]]
         raise ValidationError(f"gate {index} ({word}, angle {angles[index]}) has a {what}")
 
 

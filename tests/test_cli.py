@@ -1,7 +1,9 @@
 """Command-line front end: exit codes, report shape, determinism."""
 
+import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -28,6 +30,7 @@ from circuit_geometry import (
     phase_aligned_frobenius,
     schedule_endpoint,
 )
+from circuit_geometry import __main__ as entry
 from circuit_geometry.cli import main
 from util import brute_force_distance, chain_schedule, random_traceless_hermitian, subprocess_env
 
@@ -682,6 +685,27 @@ def test_console_script_help():
         assert command in proc.stdout
 
 
+def test_the_process_entry_freezes_the_heap_once_before_running(monkeypatch):
+    calls = []
+    monkeypatch.setattr(entry.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(entry, "main", lambda **kwargs: calls.append(kwargs))
+    entry.run()
+    assert calls == ["freeze", {"prog_name": "cgeo"}]
+
+
+def test_cli_main_leaves_the_heap_unfrozen(runner):
+    # the freeze belongs to the process entry; in-process callers keep their collector as it was
+    before = gc.get_freeze_count()
+    assert runner.invoke(main, ["--help"]).exit_code == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_installed_script_is_the_process_entry():
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")) as handle:
+        scripts = re.findall(r'^cgeo = "(.+)"$', handle.read(), re.MULTILINE)
+    assert scripts == ["circuit_geometry.__main__:run"]
+
+
 #: Address-space cap for the oversize-schedule runs: ample for a refused
 #: run, far below what an unguarded synthesis of these schedules allocates.
 MEMORY_CAP = 1 << 30
@@ -797,6 +821,17 @@ def test_a_target_that_is_not_unitary_is_reported_with_its_file(runner, tmp_path
     result = runner.invoke(main, ["distance", "--unitary", target, "--out", str(tmp_path / "r.json")])
     assert result.exit_code == 2
     assert f"error: {target}: matrix is not unitary: " in result.output
+
+
+def test_an_overflowing_target_is_refused_without_numpy_warnings(tmp_path):
+    # the entries are finite, but U U^dagger overflows
+    target = _write(tmp_path, "big.json", {"n": 1, "re": [[1e300, 0], [0, 1e300]], "im": [[0, 0], [0, 0]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "circuit_geometry", "distance", "--unitary", target, "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=120, env=subprocess_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {target}: matrix is not unitary: max |U U^dagger - I| = inf\n"
 
 
 def test_an_unknown_word_is_reported_with_the_file_and_the_segment(runner, tmp_path):

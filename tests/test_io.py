@@ -313,6 +313,14 @@ def _gate_sequences(draw):
 @example(sequence=GateSequence(1, [0, 1, 2, 0, 1], [-0.0, 5e-324, 1e300, -1e-7, 1e16], 0.05))
 @example(sequence=GateSequence(2, [0, 4], [0.1, -0.2], 1))
 @example(sequence=GateSequence(3, [0, 5], [0.1, -0.2], np.float64(0.05)))
+# four equal slices of four substeps: one block repeated sixteen times
+@example(sequence=synthesize_gates(
+    slice_mean(Schedule.constant(CoeffVector.from_words(2, {"XI": 0.4, "ZZ": -0.3}), 1.0), 0.25),
+    0.25, MetricConfig(2, 1.0)))
+@example(sequence=GateSequence(2, [0, 3, 1], [0.1, 0.2, 0.3], 0.5))  # runs of one block
+# equal positions with different angles, among them the zeros of either sign
+@example(sequence=GateSequence(1, [0, 1, 0, 1, 0, 1], [0.1, 0.2, 0.1, 0.2, 0.1, -0.2], 0.5))
+@example(sequence=GateSequence(1, [0, 0, 0, 0], [0.0, -0.0, -0.0, 0.0], 0.5))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_save_gates_writes_the_json_encoding_byte_for_byte(tmp_path, sequence):
     path = tmp_path / "g.json"

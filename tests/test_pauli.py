@@ -1,5 +1,7 @@
 """Pauli basis enumeration, ordering, and decomposition."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from circuit_geometry import (
     weight_vector,
     word_actions,
 )
+from circuit_geometry.pauli import LETTERS, _phase_grid, _words
 from util import dense_basis, dense_decompose, dense_reconstruct, random_traceless_hermitian
 
 
@@ -77,6 +80,28 @@ def test_orthogonality_under_trace():
 
 def test_weight_vector_matches_basis():
     assert list(weight_vector(2)) == [s.weight for s in enumerate_basis(2)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_word_table_follows_the_letter_definition(n):
+    words = [PauliString("".join(t)) for t in product(LETTERS, repeat=n) if set(t) != {"I"}]
+    words.sort(key=lambda s: (s.weight, s.index))
+    letters, x, z, weight = _words(n)
+    assert letters == tuple(s.letters for s in words)
+    assert weight.tolist() == [s.weight for s in words]
+    # X sets the x bit, Z the z bit, Y both; qubit 0 is the most significant bit
+    assert x.tolist() == [int("".join("01"[c in "XY"] for c in s.letters), 2) for s in words]
+    assert z.tolist() == [int("".join("01"[c in "YZ"] for c in s.letters), 2) for s in words]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_phase_grid_follows_the_popcount_formula(n):
+    grid = _phase_grid(n)
+    triples = product(range(2**n), repeat=3) if n <= 4 else np.random.default_rng(n).integers(2**n, size=(2000, 3))
+    for x, z, r in triples:
+        x, z, r = int(x), int(z), int(r)
+        power = bin(x & z).count("1") + 2 * bin((r ^ x) & z).count("1")
+        assert grid[x, z, r] == [1, 1j, -1, -1j][power % 4]
 
 
 def test_word_actions_read_only():
