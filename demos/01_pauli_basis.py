@@ -5,9 +5,8 @@ the decompose/reconstruct round trip."""
 import numpy as np
 
 from circuit_geometry import (
-    PauliString,
+    CoeffVector,
     decompose,
-    enumerate_basis,
     partition_k,
     reconstruct,
     weight_vector,
@@ -16,8 +15,8 @@ from circuit_geometry import (
 
 def main():
     print("=== Canonical basis ordering (n = 2) ===")
-    basis = enumerate_basis(2)
-    print("words:", " ".join(str(s) for s in basis))
+    # to_words lists the nonzero coefficients in canonical order
+    print("words:", " ".join(CoeffVector(2, np.arange(1.0, 16.0)).to_words()))
     k = partition_k(2)
     print(f"first {k} words have weight <= 2; for n = 2 that is all of them")
 
@@ -29,7 +28,7 @@ def main():
               f"(formula gives {partition_k(n)})")
 
     print("\n=== Decomposing a hand-built Hamiltonian ===")
-    h = 0.7 * PauliString("XZ").matrix() + 0.2 * PauliString("IY").matrix()
+    h = reconstruct(CoeffVector.from_words(2, {"XZ": 0.7, "IY": 0.2}))
     coeffs = decompose(h, 2)
     print("nonzero coefficients:", coeffs.to_words())
     rebuilt = reconstruct(coeffs)

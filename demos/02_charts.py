@@ -9,7 +9,7 @@ from circuit_geometry import (
     MetricConfig,
     Unitary,
     ValidationError,
-    distance_lower,
+    distance_upper,
     exp_coords,
     identity,
     log_coords,
@@ -45,7 +45,7 @@ def main():
     except ValidationError as exc:
         print("rejected as expected:", exc)
     print(f"its distance, from the shortest logarithm modulo global phase: "
-          f"{distance_lower(awkward, MetricConfig(2, 1.0)):.6f}")
+          f"{distance_upper(awkward, MetricConfig(2, 1.0)).lower:.6f}")
 
     section("global phase is not geometry")
     a = unitary_exp(np.diag([1.0, -1.0]), 0.2)

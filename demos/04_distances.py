@@ -8,7 +8,6 @@ from circuit_geometry import (
     CoeffVector,
     MetricConfig,
     Unitary,
-    distance_lower,
     distance_upper,
     exp_coords,
     identity,
@@ -18,9 +17,8 @@ from circuit_geometry import (
 
 
 def bracket(label, target, config, segments):
-    lower = distance_lower(target, config)
     estimate = distance_upper(target, config, segments)
-    print(f"{label}: lower {lower:.6f}  upper {estimate.upper:.6f}  "
+    print(f"{label}: lower {estimate.lower:.6f}  upper {estimate.upper:.6f}  "
           f"(witness endpoint error {estimate.stats.endpoint_error:.1e})")
     return estimate
 
@@ -48,9 +46,8 @@ def main():
     heavy = exp_coords(CoeffVector.from_words(3, {"XXX": 0.4}), identity(3))
     for p in (1.0, 4.0, 8.0):
         config = MetricConfig(3, p)
-        lower = distance_lower(heavy, config)
         estimate = distance_upper(heavy, config, 1)
-        print(f"  p = {p:3.0f}: lower {lower:.4f}, upper {estimate.upper:.4f} "
+        print(f"  p = {p:3.0f}: lower {estimate.lower:.4f}, upper {estimate.upper:.4f} "
               f"(the straight path costs p * 0.4 = {p * 0.4:.1f})")
 
 

@@ -8,8 +8,8 @@ from circuit_geometry import (
     CoeffVector,
     MetricConfig,
     Schedule,
-    enumerate_basis,
     gate_product,
+    gates_to_dict,
     reconstruct,
     simulate,
     slice_mean,
@@ -30,9 +30,8 @@ def main():
     print(f"synthesized length L = {result.synthesized_length:.6f}")
     print(f"angle extremes: rho_inf = {result.rho_inf:.4f}, rho_sup = {result.rho_sup:.4f}")
     print(f"endpoint error vs dense propagator: {result.endpoint_error:.3e}")
-    basis = enumerate_basis(2)
-    first = zip(seq.gates[:4].tolist(), seq.angles[:4].tolist())
-    print("first four gates:", [(str(basis[k]), round(angle, 4)) for k, angle in first])
+    first = gates_to_dict(seq)["gates"][:4]
+    print("first four gates:", [(gate["pauli"], round(gate["angle"], 4)) for gate in first])
 
     print("\n== error shrinks quadratically with the slice width ==")
     for delta in (0.2, 0.1, 0.05, 0.025):

@@ -12,8 +12,7 @@ from circuit_geometry import (
     Schedule,
     check_segment_distortion,
     check_sim_sandwich,
-    chart_segment_rho,
-    distance_lower,
+    distance_upper,
     distortion_constants,
     exp_coords,
     gate_count_bounds_chart,
@@ -52,9 +51,9 @@ def main():
     points = [identity(1)]
     for _ in range(steps):
         points.append(exp_coords(stride, points[-1]))
-    rhos = [chart_segment_rho(a, b) for a, b in zip(points, points[1:])]
+    rhos = [log_coords(b, a).norm for a, b in zip(points, points[1:])]
     betas = [PenaltyNorm(cfg1)(log_coords(b, a)) for a, b in zip(points, points[1:])]
-    d = distance_lower(points[-1], cfg1)
+    d = distance_upper(points[-1], cfg1).lower
     m_low, m_high = distortion_constants(cfg1)
     chart = gate_count_bounds_chart(d, min(rhos), max(rhos), m_low, m_high)
     metric = gate_count_bounds_metric(d, min(betas), max(betas), m_low, m_high)

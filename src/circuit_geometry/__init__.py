@@ -19,7 +19,6 @@ from .bounds import (
 )
 from .charts import (
     Unitary,
-    chart_segment_rho,
     exp_coords,
     identity,
     log_coords,
@@ -50,9 +49,7 @@ from .metric import (
 )
 from .pauli import (
     CoeffVector,
-    PauliString,
     decompose,
-    enumerate_basis,
     partition_k,
     reconstruct,
     weight_vector,
@@ -61,7 +58,6 @@ from .pauli import (
 from .paths import (
     DistanceEstimate,
     WitnessStats,
-    distance_lower,
     distance_upper,
     path_length,
 )
@@ -85,7 +81,6 @@ __all__ = [
     "DistanceEstimate",
     "GateSequence",
     "MetricConfig",
-    "PauliString",
     "PenaltyNorm",
     "ScalingReport",
     "Schedule",
@@ -93,15 +88,12 @@ __all__ = [
     "Unitary",
     "ValidationError",
     "WitnessStats",
-    "chart_segment_rho",
     "check_segment_distortion",
     "check_sim_sandwich",
     "decompose",
     "default_penalty",
-    "distance_lower",
     "distance_upper",
     "distortion_constants",
-    "enumerate_basis",
     "estimate_distortion",
     "exp_coords",
     "gate_count_bounds_chart",

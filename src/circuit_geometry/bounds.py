@@ -51,11 +51,6 @@ class BoundReport:
         ok = self.lower - PASS_TOL <= self.observed <= self.upper + PASS_TOL
         object.__setattr__(self, "passed", bool(ok))
 
-    @property
-    def slack(self) -> tuple[float, float]:
-        """Margins ``(observed - lower, upper - observed)``."""
-        return (self.observed - self.lower, self.upper - self.observed)
-
     def to_dict(self) -> dict:
         return {
             "context": self.context,

@@ -54,9 +54,6 @@ class Unitary:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
-    def dagger(self) -> "Unitary":
-        return Unitary(self.n, self.matrix.conj().T)
-
 
 def identity(n: int) -> Unitary:
     """The identity element of SU(2^n)."""
@@ -162,12 +159,3 @@ def _shortest_log(x: Unitary) -> CoeffVector:
     lifts = theta + 2.0 * np.pi * np.tri(dim, k=-1)
     best = int(np.argmin(np.sum((lifts - lifts.mean(axis=1, keepdims=True)) ** 2, axis=1)))
     return log_coords(Unitary(x.n, x.matrix * np.exp(-1j * lifts[best].mean())), identity(x.n))
-
-
-def chart_segment_rho(x_from: Unitary, x_to: Unitary) -> float:
-    """Euclidean chart length of one segment: ``|log_coords(x_to, x_from)|``.
-
-    Right-invariant: translating both endpoints by a common unitary on the
-    right leaves the value unchanged.
-    """
-    return log_coords(x_to, x_from).norm

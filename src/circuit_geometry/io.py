@@ -5,9 +5,9 @@ Three JSON formats cross the package boundary:
 * matrix: ``{"n": int, "re": [[...]], "im": [[...]]}`` -- a dense complex
   matrix split into real and imaginary parts, row major;
 * schedule: ``{"n": int, "segments": [{"tau": float, "y": {word: coeff}}]}``
-  -- a piecewise-constant control schedule (a path), omitted words read
-  as zero; read and written by :func:`schedule_from_dict` and
-  :func:`schedule_to_dict`;
+  -- a piecewise-constant control schedule (a path) of at most
+  ``MAX_SLICES`` segments, omitted words read as zero; read and written
+  by :func:`schedule_from_dict` and :func:`schedule_to_dict`;
 * gates: ``{"n": int, "delta": float, "gates": [{"pauli": word,
   "angle": float}]}`` -- a synthesized gate sequence in order.
 
@@ -28,7 +28,7 @@ import numpy as np
 from .charts import Unitary
 from .errors import ValidationError
 from .pauli import MAX_QUBITS, CoeffVector, _word_positions, _words
-from .simulation import GateSequence, Schedule, _block_runs
+from .simulation import MAX_SLICES, GateSequence, Schedule, _block_runs
 
 
 def _require(condition: bool, message: str) -> None:
@@ -111,13 +111,17 @@ def schedule_from_dict(payload: dict, source: str = "<schedule>") -> Schedule:
     """Parse the schedule format.  The reader checks the JSON shape, and
     :meth:`CoeffVector.from_words` and :meth:`Schedule.from_segments` check the
     words, coefficients and durations.  Every refusal starts with ``source``
-    and names the segment."""
+    and names the segment.  More than :data:`MAX_SLICES` segments are
+    refused before any row is built."""
     _require(isinstance(payload, dict), f"{source}: expected a JSON object")
     for key in ("n", "segments"):
         _require(key in payload, f"{source}: missing key {key!r}")
     n = _qubits(payload["n"], source)
     segments = payload["segments"]
     _require(isinstance(segments, list) and segments, f"{source}: 'segments' must be a nonempty list")
+    # each segment becomes a 4^n - 1 row: refuse a long list before building any
+    _require(len(segments) <= MAX_SLICES,
+             f"{source}: {len(segments)} segments; the limit is {MAX_SLICES} segments")
     rows = []
     taus = []
     for index, entry in enumerate(segments):

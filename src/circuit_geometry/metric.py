@@ -70,14 +70,22 @@ class PenaltyNorm:
         return self.weights.size
 
     def __call__(self, y):
-        """``sqrt(sum((w * y)^2))`` over the last axis of ``y``."""
+        """``sqrt(sum((w * y)^2))`` over the last axis of ``y``.
+
+        A ``p`` so large that a squared penalized term overflows is refused.
+        """
         values = y.values if isinstance(y, CoeffVector) else np.asarray(y, dtype=float)
         if values.shape[-1] != self.dimension:
             raise ValidationError(
                 f"expected last dimension {self.dimension}, got shape {values.shape}"
             )
-        scaled = self.weights * values
-        out = np.sqrt(np.sum(np.square(scaled, out=scaled), axis=-1))
+        # (p y)^2 overflows once p |y| passes about 1.3e154, which MetricConfig admits
+        with np.errstate(over="ignore"):
+            scaled = self.weights * values
+            out = np.sqrt(np.sum(np.square(scaled, out=scaled), axis=-1))
+        if not np.all(np.isfinite(out)):
+            raise ValidationError(f"penalty norm evaluated to a non-finite value: p = {self.config.p} "
+                                  "is too large for these coordinates")
         return float(out) if isinstance(y, CoeffVector) else out
 
     def __repr__(self) -> str:

@@ -42,19 +42,6 @@ def path_length(path: Schedule, config: MetricConfig) -> float:
     return math.fsum(PenaltyNorm(config)(path.values) * taus)
 
 
-def distance_lower(target: Unitary, config: MetricConfig) -> float:
-    """Chart lower bound on the distance from the identity to ``target``.
-
-    Equal to ``m * |K|``, ``K`` the shortest traceless logarithm of ``target``
-    modulo global phase and ``m`` the lower distortion constant (1 for the
-    penalty norm): every target has one, on the projective group.
-    """
-    if target.n != config.n:
-        raise ValidationError(f"target qubit count {target.n} does not match config {config.n}")
-    m_lower, _ = distortion_constants(config)
-    return m_lower * _shortest_log(target).norm
-
-
 @dataclass(frozen=True)
 class WitnessStats:
     """Witness accounting: runs (0 for a target at the identity, else 1),
@@ -94,8 +81,10 @@ def distance_upper(target: Unitary, config: MetricConfig, segments: int = 8) -> 
     phase, split into ``segments`` equal legs ``y_j = K / segments``,
     ``tau_j = 1``; the split sets the legs that ``verify`` checks one by one.
     The returned upper value is the exact length of that witness, ``F_p(K)``
-    up to roundoff, so it bounds the true distance from above.  A target
-    within ``IDENTITY_SHORTCUT`` of the identity gets the empty witness.
+    up to roundoff, so it bounds the true distance from above.  The lower
+    value is the chart bound ``m * |K|``, ``m`` the lower distortion constant
+    (1 for the penalty norm).  A target within ``IDENTITY_SHORTCUT`` of the
+    identity gets the empty witness.
 
     Raises ``ValidationError`` unless ``segments`` is an integer (not a bool)
     of at least 1, and, before building the witness, for a witness above

@@ -40,58 +40,6 @@ MAX_QUBITS = 6
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """One word of the n-qubit Pauli basis, written like ``"XZI"``.
-
-    Parameters
-    ----------
-    letters : str
-        One character per qubit from ``IXYZ``; qubit 0 is the leftmost.
-    """
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters or any(c not in LETTERS for c in self.letters):
-            raise ValidationError(f"invalid Pauli word {self.letters!r}: use characters from 'IXYZ'")
-
-    @property
-    def n(self) -> int:
-        """Number of qubits the word acts on."""
-        return len(self.letters)
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return sum(1 for c in self.letters if c != "I")
-
-    @property
-    def index(self) -> int:
-        """Base-4 value of the word with qubit 0 most significant."""
-        value = 0
-        for c in self.letters:
-            value = 4 * value + LETTERS.index(c)
-        return value
-
-    def matrix(self) -> np.ndarray:
-        """Dense (2^n, 2^n) matrix of the tensor word."""
-        out = _SINGLE[self.letters[0]]
-        for c in self.letters[1:]:
-            out = np.kron(out, _SINGLE[c])
-        return out
-
-    def __str__(self) -> str:
-        return self.letters
-
 
 def _check_qubit_count(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -133,16 +81,6 @@ def _words(n: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]
     for table in (x, z, weight):
         table.flags.writeable = False
     return letters, x, z, weight
-
-
-@lru_cache(maxsize=None)
-def enumerate_basis(n: int) -> tuple[PauliString, ...]:
-    """All 4^n - 1 non-identity Pauli words in canonical order.
-
-    Sorted by (weight, base-4 index); the first ``partition_k(n)`` entries
-    are exactly the words of weight at most two.
-    """
-    return tuple(PauliString(letters) for letters in _words(n)[0])
 
 
 def partition_k(n: int) -> int:

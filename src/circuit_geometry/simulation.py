@@ -39,8 +39,9 @@ COUNT_GUARD = 1e-12
 #: (one substep per slice, or a gates file written by hand): a walk of every
 #: gate, about 21 us a gate at n = 6 on a 2-core Xeon VM, or 21 s at the limit.
 #: A slice mean holds 4^n - 1 coefficients (32 KB at n = 6), so the slice
-#: limit keeps the means within about 134 MB.  The largest synthesis the
-#: benchmark runs (n = 6) has 40 slices and 21,600 gates.
+#: limit keeps the means within about 134 MB; the schedule reader holds a
+#: file's segments, one such row each, to the same limit.  The largest
+#: synthesis the benchmark runs (n = 6) has 40 slices and 21,600 gates.
 MAX_GATES = 1_000_000
 MAX_SLICES = 4096
 

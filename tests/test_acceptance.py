@@ -21,14 +21,11 @@ from circuit_geometry import (
     PenaltyNorm,
     Schedule,
     Unitary,
-    chart_segment_rho,
     check_segment_distortion,
     check_sim_sandwich,
     decompose,
-    distance_lower,
     distance_upper,
     distortion_constants,
-    enumerate_basis,
     estimate_distortion,
     exp_coords,
     gate_count_bounds_chart,
@@ -43,6 +40,7 @@ from circuit_geometry import (
     slice_mean,
     synthesize_gates,
     unitary_exp,
+    weight_vector,
 )
 from circuit_geometry.cli import main as cli_main
 from util import random_coeffs, random_traceless_hermitian
@@ -86,9 +84,7 @@ def test_criterion_02_chart_round_trip():
 
 def test_criterion_03_partition_formula():
     expected = {1: 3, 2: 15, 3: 36, 4: 66, 5: 105}
-    counted = {
-        n: sum(1 for s in enumerate_basis(n) if s.weight <= 2) for n in expected
-    }
+    counted = {n: int(np.count_nonzero(weight_vector(n) <= 2)) for n in expected}
     formula = {n: partition_k(n) for n in expected}
     ok = counted == expected and formula == expected
     _line(3, ok, f"enumerated weight<=2 counts {sorted(counted.values())}")
@@ -172,9 +168,8 @@ def test_criterion_07_distance_consistency():
         n = 1 + index % 2
         config = MetricConfig(n, 2.0**n)
         target = exp_coords(random_coeffs(rng, n, scale=rng.uniform(0.2, 1.2)), identity(n))
-        lower = distance_lower(target, config)
         estimate = distance_upper(target, config, segments)
-        consistent &= lower <= estimate.upper + 1e-6
+        consistent &= estimate.lower <= estimate.upper + 1e-6
 
     pinch_ok = True
     worst_gap = 0.0
@@ -182,9 +177,8 @@ def test_criterion_07_distance_consistency():
     config = MetricConfig(1, 2.0)
     for theta in (0.3, 0.7, 1.2):
         target = Unitary(1, unitary_exp(x_matrix, theta))
-        lower = distance_lower(target, config)
         estimate = distance_upper(target, config, segments)
-        pinch_ok &= abs(lower - theta) < 1e-9 and estimate.upper <= theta + 1e-3
+        pinch_ok &= abs(estimate.lower - theta) < 1e-9 and estimate.upper <= theta + 1e-3
         worst_gap = max(worst_gap, estimate.upper - theta)
     ok = consistent and pinch_ok
     _line(7, ok, f"50 brackets ordered; pinch gap at worst {worst_gap:.2e}")
@@ -214,7 +208,7 @@ def test_criterion_08_simulation_sandwich():
         picks = np.linspace(0, len(angles) - 1, min(15, len(angles))).astype(int)
         for s in picks:
             gate = gate_product(GateSequence(n, sequence.gates[s:s + 1], angles[s:s + 1], sequence.delta))
-            rho = chart_segment_rho(identity(n), gate)
+            rho = log_coords(gate, identity(n)).norm
             rho_worst = max(rho_worst, abs(rho - abs(angles[s])))
 
     ok = sandwich_ok and refinement_worst <= 1e-10 and rho_worst < 1e-12
@@ -261,7 +255,7 @@ def test_criterion_11_count_bounds_on_known_geodesic():
         y = log_coords(after, before)
         rhos.append(y.norm)
         betas.append(PenaltyNorm(config)(y))
-    distance = distance_lower(points[-1], config)
+    distance = distance_upper(points[-1], config).lower
     m_lower, m_upper = distortion_constants(config)
 
     chart = gate_count_bounds_chart(distance, min(rhos), max(rhos), m_lower, m_upper)

@@ -12,17 +12,19 @@ from circuit_geometry.cli import main
 
 #: Names deleted when each job was left with a single public entry point, the
 #: "infeasible" outcome, which no target has once every target gets a bracket,
-#: and the exception classes folded into the one refusal type, ``ValidationError``.
+#: the exception classes folded into the one refusal type, ``ValidationError``,
+#: and the dense Pauli word type, which only the tests' oracle needed.
 REMOVED = {
     "bounds": ["_strata", "_require_positive"],
-    "charts": ["ChartPoint", "CHART_RADIUS", "eigen_exp"],
+    "charts": ["ChartPoint", "CHART_RADIUS", "eigen_exp", "chart_segment_rho"],
     "cli": ["EXIT_INFEASIBLE"],
     "errors": ["InfeasibleError", "DomainError", "IdentityComponentError", "CoefficientBoundError",
                "BranchCutError", "EvaluationError"],
     "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values",
                "check_finsler_properties", "half_square_hessian", "NormPropertyReport",
                "_evaluate", "_central_gradient"],
-    "paths": ["OptimizerSettings", "OptimizerStats"],
+    "paths": ["OptimizerSettings", "OptimizerStats", "distance_lower"],
+    "pauli": ["PauliString", "enumerate_basis", "_SINGLE"],
     "simulation": ["project_hamiltonian"],
 }
 
@@ -68,6 +70,9 @@ def test_removed_modules_are_gone():
 
 def test_removed_options_are_gone():
     assert not hasattr(circuit_geometry.Schedule, "piecewise")
+    # the adjoint and the report margins had no reader outside their own tests
+    assert not hasattr(circuit_geometry.Unitary, "dagger")
+    assert not hasattr(circuit_geometry.BoundReport, "slack")
     with pytest.raises(TypeError):
         circuit_geometry.synthesize_gates([], 0.5, circuit_geometry.MetricConfig(1, 1.0), order=1)
     with pytest.raises(TypeError):

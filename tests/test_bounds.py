@@ -20,7 +20,6 @@ from circuit_geometry import (
     check_segment_distortion,
     check_sim_sandwich,
     distortion_constants,
-    enumerate_basis,
     estimate_distortion,
     exp_coords,
     gate_count_bounds_chart,
@@ -42,11 +41,7 @@ def _distortion_stream(seed):
 
 
 def _coeffs(n, words):
-    values = np.zeros(4**n - 1)
-    index = {str(s): i for i, s in enumerate(enumerate_basis(n))}
-    for word, value in words.items():
-        values[index[word]] = value
-    return CoeffVector(n, values)
+    return CoeffVector.from_words(n, words)
 
 
 def test_bound_report_derives_passed():
@@ -101,9 +96,8 @@ def test_bound_report_rejects_non_finite():
         BoundReport("x", 0.0, 0.5, np.inf)
 
 
-def test_bound_report_slack_and_dict():
+def test_bound_report_to_dict():
     report = BoundReport("ctx", 1.0, 1.5, 2.0)
-    assert report.slack == (0.5, 0.5)
     assert report.to_dict() == {
         "context": "ctx", "lower": 1.0, "observed": 1.5, "upper": 2.0, "passed": True,
     }

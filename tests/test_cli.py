@@ -32,7 +32,7 @@ from circuit_geometry import (
 )
 from circuit_geometry import __main__ as entry
 from circuit_geometry.cli import main
-from util import brute_force_distance, chain_schedule, random_traceless_hermitian, subprocess_env
+from util import brute_force_distance, chain_schedule, haar_unitary, random_traceless_hermitian, subprocess_env
 
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
@@ -189,6 +189,26 @@ def test_distortion_refuses_a_penalty_too_large_to_sample(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert result.stderr == ("error: penalty norm evaluated to a non-finite ratio: "
                              "p = 1e+160 is too large to sample\n")
+    assert not [str(w.message) for w in caught]
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["distance", "verify", "simulate"])
+def test_a_penalty_that_overflows_the_norm_is_refused_naming_p(runner, tmp_path, command):
+    # F_p^2 of an n = 3 witness with heavy content overflows at p = 1e160
+    if command == "simulate":
+        payload = {"n": 3, "segments": [{"tau": 1.0, "y": {"XXX": 0.5}}]}
+        source = ["--schedule", _write(tmp_path, "s3.json", payload), "--delta", "auto"]
+    else:
+        matrix = haar_unitary(np.random.default_rng(3), 3).matrix
+        source = ["--unitary", _write(tmp_path, "u3.json", {"n": 3, "re": matrix.real.tolist(),
+                                                             "im": matrix.imag.tolist()})]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, [command, *source, "--p", "1e160", "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == ("error: penalty norm evaluated to a non-finite value: "
+                             "p = 1e+160 is too large for these coordinates\n")
     assert not [str(w.message) for w in caught]
     assert not (tmp_path / "r.json").exists()
 
@@ -730,6 +750,18 @@ def test_oversize_schedule_exits_2(tmp_path, tau, delta):
     )
     assert proc.returncode == 2, proc.stderr
     assert "the limit is" in proc.stderr
+
+
+def test_a_schedule_of_more_segments_than_the_slice_limit_exits_2(tmp_path):
+    # 20,000 empty n = 6 segments (460 KB) would become gigabytes of 4095-coefficient rows
+    schedule = _write(tmp_path, "long.json", {"n": 6, "segments": [{"tau": 1.0, "y": {}}] * 20000})
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CGEO, "simulate", "--schedule", schedule,
+         "--delta", "1000", "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=120, env=subprocess_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {schedule}: 20000 segments; the limit is 4096 segments\n"
 
 
 @pytest.mark.parametrize("command, option, payload", [

@@ -150,6 +150,15 @@ def test_schedule_reader_names_the_file_for_a_segment_below_the_float_resolution
         load_schedule(path)
 
 
+def test_schedule_reader_refuses_more_segments_than_the_slice_limit():
+    # each segment becomes a 4^n - 1 row: the count is checked before any is built
+    segment = {"tau": 1.0, "y": {"X": 0.5}}
+    assert len(schedule_from_dict({"n": 1, "segments": [segment] * 4096}, "f").segments) == 4096
+    with pytest.raises(ValidationError) as caught:
+        schedule_from_dict({"n": 1, "segments": [segment] * 4097}, "f")
+    assert str(caught.value) == "f: 4097 segments; the limit is 4096 segments"
+
+
 def test_schedule_reader_names_the_file_and_the_segment_of_an_unknown_word(tmp_path):
     path = _schedule_file(tmp_path, ['{"tau": 0.5, "y": {"X": 0.1}}', '{"tau": 0.5, "y": {"XX": 0.1}}'])
     with pytest.raises(ValidationError) as caught:

@@ -1,6 +1,7 @@
 """Penalty-norm configuration, weights and evaluation, and the distortion constants."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from circuit_geometry import (
     ValidationError,
     default_penalty,
     distortion_constants,
-    enumerate_basis,
     partition_k,
 )
 
@@ -50,11 +50,7 @@ def test_penalty_norm_weights_layout():
 
 def test_norm_hand_computed():
     cfg = MetricConfig(3, 3.0)
-    basis = {str(s): i for i, s in enumerate(enumerate_basis(3))}
-    values = np.zeros(63)
-    values[basis["XII"]] = 0.6   # weight 1
-    values[basis["XXX"]] = 0.8   # weight 3, penalized
-    y = CoeffVector(3, values)
+    y = CoeffVector.from_words(3, {"XII": 0.6, "XXX": 0.8})  # weight 1, and weight 3 (penalized)
     want = np.sqrt(0.6**2 + 9.0 * 0.8**2)
     assert PenaltyNorm(cfg)(y) == pytest.approx(want, abs=1e-15)
 
@@ -132,6 +128,21 @@ def test_penalty_norm_callable():
     assert norm.penalized_mask.sum() == 63 - cfg.k
     with pytest.raises(ValidationError, match=r"expected last dimension 63, got shape \(10,\)"):
         norm(np.zeros(10))
+
+
+def test_penalty_norm_refuses_a_penalty_that_overflows_it():
+    # (p y)^2 overflows a float at p = 1e160: a refusal naming p, without numpy's warning
+    norm = PenaltyNorm(MetricConfig(3, 1e160))
+    y = CoeffVector.from_words(3, {"XII": 0.5, "XXX": 0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (y, np.stack([np.zeros(63), y.values])):
+            with pytest.raises(ValidationError) as caught:
+                norm(value)
+            assert str(caught.value) == ("penalty norm evaluated to a non-finite value: "
+                                         "p = 1e+160 is too large for these coordinates")
+        # without penalized content nothing overflows
+        assert norm(CoeffVector.from_words(3, {"XII": 0.5})) == 0.5
 
 
 def test_penalty_norm_allocates_one_batch_sized_temporary():

@@ -12,16 +12,13 @@ from circuit_geometry import (
     CoeffVector,
     DistanceEstimate,
     MetricConfig,
-    PauliString,
     PenaltyNorm,
     Schedule,
     Unitary,
     ValidationError,
     WitnessStats,
     check_segment_distortion,
-    distance_lower,
     distance_upper,
-    enumerate_basis,
     exp_coords,
     identity,
     log_coords,
@@ -34,13 +31,14 @@ from circuit_geometry import (
 )
 from circuit_geometry import charts, simulation
 from circuit_geometry.charts import _shortest_log
+from circuit_geometry.pauli import _words
 from circuit_geometry.paths import ENDPOINT_TOL
-from util import brute_force_distance, haar_unitary, random_coeffs
+from util import brute_force_distance, haar_unitary, random_coeffs, word_matrix
 
 
 def _axis(n, word, value):
     values = np.zeros(4**n - 1)
-    index = [str(s) for s in enumerate_basis(n)].index(word)
+    index = _words(n)[0].index(word)
     values[index] = value
     return CoeffVector(n, values)
 
@@ -135,7 +133,7 @@ def test_distance_lower_oracle():
     cfg = MetricConfig(1, 2.0)
     for theta in (0.3, 0.7, 1.2):
         u = exp_coords(_axis(1, "X", theta), identity(1))
-        assert abs(distance_lower(u, cfg) - theta) < 1e-12
+        assert abs(distance_upper(u, cfg).lower - theta) < 1e-12
 
 
 #: Eigenvalues within 1e-9 of -1: the principal logarithm is refused, yet the
@@ -146,7 +144,7 @@ BRANCH_CUT = Unitary(2, np.diag(np.exp(-1j * np.array([np.pi - 1e-9, -(np.pi - 1
 def test_distance_lower_branch_cut():
     with pytest.raises(ValidationError, match="of -1; the principal logarithm is not defined here"):
         log_coords(BRANCH_CUT, identity(2))
-    lower = distance_lower(BRANCH_CUT, MetricConfig(2, 2.0))
+    lower = distance_upper(BRANCH_CUT, MetricConfig(2, 2.0)).lower
     assert lower == pytest.approx(1.5850555511629048, abs=1e-12)
     assert lower == pytest.approx(math.sqrt(np.pi**2 + 0.18) / 2, abs=1e-12)
 
@@ -178,7 +176,7 @@ def test_distance_lower_is_the_shortest_branch(n, kind):
     rng = np.random.default_rng(40 + n)
     for _ in range(5):
         target = _target(kind, n, rng)
-        assert distance_lower(target, MetricConfig(n, 1.0)) == pytest.approx(
+        assert distance_upper(target, MetricConfig(n, 1.0)).lower == pytest.approx(
             brute_force_distance(target), abs=1e-12
         )
 
@@ -329,10 +327,9 @@ def test_a_global_phase_leaves_the_bracket_unchanged(phase):
 def test_a_determinant_error_that_unitary_admits_leaves_the_bracket_exact():
     # |det - 1| = 8e-9 is within DET_TOL, and the phase exp(4e-9 i) is central,
     # so the bracket is that of the rotation by 0.3 alone
-    rotation = np.cos(0.3) * np.eye(2) - 1j * np.sin(0.3) * PauliString("X").matrix()
+    rotation = np.cos(0.3) * np.eye(2) - 1j * np.sin(0.3) * word_matrix("X")
     target = Unitary(1, rotation * np.exp(4e-9j))
     cfg = MetricConfig(1, 2.0)
-    assert distance_lower(target, cfg) == 0.3
     estimate = distance_upper(target, cfg)
     assert (estimate.lower, estimate.upper) == (0.3, 0.3)
     assert estimate.stats.endpoint_error <= 1e-15

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 
 from circuit_geometry import (
     CoeffVector,
-    PauliString,
     ValidationError,
     decompose,
-    enumerate_basis,
     partition_k,
     reconstruct,
     weight_vector,
     word_actions,
 )
 from circuit_geometry.pauli import LETTERS, _phase_grid, _words
-from util import dense_basis, dense_decompose, dense_reconstruct, random_traceless_hermitian
+from util import dense_basis, dense_decompose, dense_reconstruct, random_traceless_hermitian, word_matrix
 
 
 def test_partition_formula_exact():
@@ -28,45 +26,46 @@ def test_partition_formula_exact():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_partition_matches_enumeration(n):
-    basis = enumerate_basis(n)
-    assert len(basis) == 4**n - 1
-    counted = sum(1 for s in basis if s.weight <= 2)
-    assert counted == partition_k(n)
+    letters, _, _, weight = _words(n)
+    assert len(letters) == weight.size == 4**n - 1
+    assert np.count_nonzero(weight <= 2) == partition_k(n)
     # the weight-<=2 block is contiguous at the front
     k = partition_k(n)
-    assert all(s.weight <= 2 for s in basis[:k])
-    assert all(s.weight >= 3 for s in basis[k:])
+    assert np.all(weight[:k] <= 2)
+    assert np.all(weight[k:] >= 3)
+
+
+def _weight(letters):
+    return sum(1 for c in letters if c != "I")
+
+
+def _index(letters):
+    """Base-4 value of a word, qubit 0 most significant, I X Y Z as digits 0..3."""
+    return int("".join(str(LETTERS.index(c)) for c in letters), 4)
 
 
 def test_canonical_order():
-    basis = enumerate_basis(2)
-    assert [str(s) for s in basis[:6]] == ["IX", "IY", "IZ", "XI", "YI", "ZI"]
-    keys = [(s.weight, s.index) for s in basis]
+    letters = _words(2)[0]
+    assert letters[:6] == ("IX", "IY", "IZ", "XI", "YI", "ZI")
+    keys = [(_weight(w), _index(w)) for w in letters]
     assert keys == sorted(keys)
     # no duplicates, identity excluded
-    assert len({str(s) for s in basis}) == 15
-    assert "II" not in {str(s) for s in basis}
+    assert len(set(letters)) == 15
+    assert "II" not in letters
 
 
 def test_string_properties():
-    s = PauliString("XZI")
-    assert s.n == 3
-    assert s.weight == 2
-    # base-4 digits: X=1, Z=3, I=0 with qubit 0 most significant
-    assert s.index == 1 * 16 + 3 * 4 + 0
-    assert str(s) == "XZI"
-
-
-def test_string_validation():
-    with pytest.raises(ValidationError):
-        PauliString("XQ")
-    with pytest.raises(ValidationError):
-        PauliString("")
+    # the row of "XZI" in the word table: weight 2; X sets the x bit of qubit 0
+    # (most significant), Z the z bit of qubit 1
+    letters, x, z, weight = _words(3)
+    row = letters.index("XZI")
+    assert (weight[row], x[row], z[row]) == (2, 0b100, 0b010)
+    assert _index("XZI") == 1 * 16 + 3 * 4 + 0
 
 
 def test_matrices_are_involutory_traceless_hermitian():
-    for s in enumerate_basis(2):
-        m = s.matrix()
+    for letters in _words(2)[0]:
+        m = word_matrix(letters)
         assert np.allclose(m @ m, np.eye(4))
         assert np.allclose(m, m.conj().T)
         assert abs(np.trace(m)) < 1e-14
@@ -79,19 +78,19 @@ def test_orthogonality_under_trace():
 
 
 def test_weight_vector_matches_basis():
-    assert list(weight_vector(2)) == [s.weight for s in enumerate_basis(2)]
+    assert list(weight_vector(2)) == [_weight(w) for w in _words(2)[0]]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_word_table_follows_the_letter_definition(n):
-    words = [PauliString("".join(t)) for t in product(LETTERS, repeat=n) if set(t) != {"I"}]
-    words.sort(key=lambda s: (s.weight, s.index))
+    words = ["".join(t) for t in product(LETTERS, repeat=n) if set(t) != {"I"}]
+    words.sort(key=lambda w: (_weight(w), _index(w)))
     letters, x, z, weight = _words(n)
-    assert letters == tuple(s.letters for s in words)
-    assert weight.tolist() == [s.weight for s in words]
+    assert letters == tuple(words)
+    assert weight.tolist() == [_weight(w) for w in words]
     # X sets the x bit, Z the z bit, Y both; qubit 0 is the most significant bit
-    assert x.tolist() == [int("".join("01"[c in "XY"] for c in s.letters), 2) for s in words]
-    assert z.tolist() == [int("".join("01"[c in "YZ"] for c in s.letters), 2) for s in words]
+    assert x.tolist() == [int("".join("01"[c in "XY"] for c in w), 2) for w in words]
+    assert z.tolist() == [int("".join("01"[c in "YZ"] for c in w), 2) for w in words]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -114,33 +113,33 @@ def test_word_actions_read_only():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_qubit_count_domain(n):
-    enumerate_basis(n)  # in range: no error
+    weight_vector(n)  # in range: no error
     with pytest.raises(ValidationError, match="qubit count must be between 1 and 6, got 0"):
-        enumerate_basis(0)
+        weight_vector(0)
     with pytest.raises(ValidationError, match="qubit count must be between 1 and 6, got 7"):
-        enumerate_basis(7)
+        weight_vector(7)
 
 
 def test_decompose_single_word():
-    x = PauliString("X").matrix()
+    x = word_matrix("X")
     y = decompose(x, 1)
     assert list(y.values) == [1.0, 0.0, 0.0]
 
 
 def test_decompose_known_combination():
-    basis = {str(s): i for i, s in enumerate(enumerate_basis(2))}
-    h = 0.7 * PauliString("XZ").matrix() + 0.2 * PauliString("IY").matrix()
+    letters = _words(2)[0]
+    h = 0.7 * word_matrix("XZ") + 0.2 * word_matrix("IY")
     y = decompose(h, 2)
     expected = np.zeros(15)
-    expected[basis["XZ"]] = 0.7
-    expected[basis["IY"]] = 0.2
+    expected[letters.index("XZ")] = 0.7
+    expected[letters.index("IY")] = 0.2
     assert np.allclose(y.values, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
 def test_decompose_refuses_non_finite_entries(bad):
     # a NaN passes both tolerance checks, since every comparison with it is False
-    h = PauliString("XZ").matrix().astype(complex)
+    h = word_matrix("XZ")
     h[0, 1] = bad
     with pytest.raises(ValidationError, match="matrix has non-finite entries"):
         decompose(h, 2)
@@ -163,6 +162,17 @@ def test_round_trip_sweep(n):
         h = random_traceless_hermitian(rng, n)
         again = reconstruct(decompose(h, n))
         assert np.max(np.abs(again - h)) < 1e-10
+
+
+# a fence for the transforms at the sizes the dense oracle reaches only by example
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([5, 6]), seed=st.integers(0, 2**32 - 1))
+def test_round_trips_at_five_and_six_qubits(n, seed):
+    rng = np.random.default_rng(seed)
+    y = CoeffVector(n, rng.normal(size=4**n - 1))
+    assert np.max(np.abs(decompose(reconstruct(y), n).values - y.values)) <= 1e-13
+    h = random_traceless_hermitian(rng, n)
+    assert np.max(np.abs(reconstruct(decompose(h, n)) - h)) <= 1e-13
 
 
 def test_coords_round_trip_is_identity():

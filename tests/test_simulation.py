@@ -11,13 +11,11 @@ from circuit_geometry import (
     CoeffVector,
     GateSequence,
     MetricConfig,
-    PauliString,
     Schedule,
     SimulationResult,
     Unitary,
     ValidationError,
     distance_upper,
-    enumerate_basis,
     gate_product,
     identity,
     project_schedule,
@@ -32,14 +30,15 @@ from circuit_geometry import (
 )
 from circuit_geometry import simulation
 from circuit_geometry.io import load_schedule, schedule_from_dict
+from circuit_geometry.pauli import _words
 from circuit_geometry.simulation import _rotate, _synthesize, slice_edges
-from util import chain_schedule, dense_gate_product
+from util import chain_schedule, dense_gate_product, word_matrix
 
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
 def _position(n, word):
-    return [str(s) for s in enumerate_basis(n)].index(word)
+    return _words(n)[0].index(word)
 
 
 def _coeffs(n, words):
@@ -183,16 +182,16 @@ def test_gate_matrix_oracle():
     for n in (1, 2, 3, 4):
         eye = np.eye(2**n)
         source, phase = word_actions(n)
-        for k, word in enumerate(enumerate_basis(n)):
-            sigma = word.matrix()
+        for k, word in enumerate(_words(n)[0]):
+            sigma = word_matrix(word)
             for angle in (0.3, -1.1, 1e-3, 2.5):
                 want = np.cos(angle) * eye - 1j * np.sin(angle) * sigma
-                if word.weight <= 2:
+                if weight_vector(n)[k] <= 2:
                     got = gate_product(GateSequence(n, [k], [angle], 0.5)).matrix
                 else:
                     state = np.eye(2**n, dtype=complex)
                     got = _rotate(state, angle, source[k], phase[k], np.empty_like(state))
-                assert np.array_equal(got, want), (str(word), angle)
+                assert np.array_equal(got, want), (word, angle)
 
 
 def test_gate_sequence_validation():
@@ -251,7 +250,7 @@ def test_synthesize_counts_and_angles():
     seq = synthesize_gates(means, 0.2, cfg)
     # 5 slices x 5 substeps x 2 nonzero terms
     assert seq.gates.size == 50
-    words = [str(enumerate_basis(2)[k]) for k in seq.gates[:2]]
+    words = [_words(2)[0][k] for k in seq.gates[:2]]
     assert words == ["XI", "ZZ"]  # canonical order within a substep
     assert seq.angles[0] == 0.8 * 0.2 * 0.2
     assert seq.angles[1] == 0.6 * 0.2 * 0.2
@@ -299,7 +298,7 @@ def test_synthesize_rejects_large_coefficients():
 
 def test_gate_product_oracle():
     seq = _sequence(1, [("X", 0.4)])
-    want = unitary_exp(PauliString("X").matrix(), 0.4)
+    want = unitary_exp(word_matrix("X"), 0.4)
     assert np.max(np.abs(gate_product(seq).matrix - want)) < 1e-14
 
 

@@ -6,7 +6,8 @@ import os
 
 import numpy as np
 
-from circuit_geometry import CoeffVector, Unitary, enumerate_basis
+from circuit_geometry import CoeffVector, Unitary
+from circuit_geometry.pauli import _words
 
 
 def random_traceless_hermitian(rng, n):
@@ -70,27 +71,40 @@ def chain_schedule(rng, n, duration):
     return {"n": n, "segments": segments}
 
 
+#: The single-qubit letters as dense 2 x 2 matrices.
+LETTER_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def word_matrix(letters):
+    """Dense (2^n, 2^n) matrix of a tensor word like ``"XZI"``, qubit 0 leftmost."""
+    out = np.ones((1, 1), dtype=complex)
+    for letter in letters:
+        out = np.kron(out, LETTER_MATRICES[letter])
+    return out
+
+
 def dense_basis(n):
     """Stack of every basis word's dense matrix in canonical order, (4^n - 1, 2^n, 2^n)."""
-    basis = enumerate_basis(n)
-    stack = np.empty((len(basis), 2**n, 2**n), dtype=complex)
-    for index, word in enumerate(basis):
-        stack[index] = word.matrix()
-    return stack
+    return np.array([word_matrix(letters) for letters in _words(n)[0]])
 
 
 def dense_reconstruct(values, n):
     """``sum_k y_k sigma_k`` from the dense word matrices, one word at a time."""
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for value, word in zip(values, enumerate_basis(n)):
+    for value, letters in zip(values, _words(n)[0]):
         if value != 0.0:
-            out += value * word.matrix()
+            out += value * word_matrix(letters)
     return out
 
 
 def dense_decompose(matrix, n):
     """``Re tr(sigma_k H) / 2^n`` for every word, from the dense word matrices."""
-    return np.array([np.einsum("ij,ji->", word.matrix(), matrix).real for word in enumerate_basis(n)]) / 2**n
+    return np.array([np.einsum("ij,ji->", word_matrix(letters), matrix).real for letters in _words(n)[0]]) / 2**n
 
 
 def dense_gate_product(sequence):
@@ -101,10 +115,10 @@ def dense_gate_product(sequence):
     row), so this rounds as the rotation formula does and not as a
     kernel's fused multiply-adds do.
     """
-    basis = enumerate_basis(sequence.n)
+    letters = _words(sequence.n)[0]
     state = np.eye(2**sequence.n, dtype=complex)
     for k, angle in zip(sequence.gates, sequence.angles):
-        state = np.cos(angle) * state - 1j * np.sin(angle) * (basis[k].matrix() @ state)
+        state = np.cos(angle) * state - 1j * np.sin(angle) * (word_matrix(letters[k]) @ state)
     return state
 
 
