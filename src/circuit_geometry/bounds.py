@@ -174,12 +174,11 @@ def check_sim_sandwich(result: SimulationResult, config: MetricConfig) -> BoundR
     synthesized length obeys ``count * rho_inf <= L <= count * p * rho_sup``.
     """
     count = result.gate_count
-    return BoundReport(
-        "simulation-sandwich",
-        count * result.rho_inf,
-        result.synthesized_length,
-        count * config.p * result.rho_sup,
-    )
+    upper = count * config.p * result.rho_sup
+    if not np.isfinite(upper):
+        raise ValidationError(f"simulation sandwich evaluated to a non-finite upper bound: p = {config.p} "
+                              "is too large for this gate sequence")
+    return BoundReport("simulation-sandwich", count * result.rho_inf, result.synthesized_length, upper)
 
 
 #: Required ratio between the largest and smallest slice width in a sweep.

@@ -67,17 +67,21 @@ def _as_complex(payload: dict, path: str) -> tuple[int, np.ndarray]:
     for key in ("n", "re", "im"):
         _require(key in payload, f"{path}: missing key {key!r}")
     n = _qubits(payload["n"], path)
-    try:
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: matrix entries must be numbers ({exc})")
     dim = 2**n
-    _require(re.shape == (dim, dim), f"{path}: 're' must be a {dim}x{dim} array, got {re.shape}")
-    _require(im.shape == (dim, dim), f"{path}: 'im' must be a {dim}x{dim} array, got {im.shape}")
+    # the shape is checked on the lists: numpy's refusal of a ragged one names no part of the file
+    for part in ("re", "im"):
+        rows = payload[part]
+        _require(isinstance(rows, list) and len(rows) == dim
+                 and all(isinstance(row, list) and len(row) == dim for row in rows),
+                 f"{path}: {part!r} must be a {dim}x{dim} array")
     # numpy reads true as 1 and "2" as 2.0; a JSON number is an int or a float, and never a bool
     kinds = {type(v) for part in ("re", "im") for row in payload[part] for v in row}
     _require(kinds <= {int, float}, f"{path}: matrix entries must be numbers")
+    try:
+        re = np.asarray(payload["re"], dtype=float)
+        im = np.asarray(payload["im"], dtype=float)
+    except OverflowError as exc:
+        raise ValidationError(f"{path}: matrix entries must be numbers ({exc})")
     _require(np.all(np.isfinite(re)) and np.all(np.isfinite(im)), f"{path}: matrix entries must be finite")
     return n, re + 1j * im
 

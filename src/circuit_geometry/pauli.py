@@ -15,9 +15,10 @@ No word is held as a dense matrix.  A word is a pair of n-bit masks
 with qubit 0 as the most significant bit: X sets the x bit, Z the z bit,
 Y both.  It maps a basis state to one basis state times a phase,
 ``sigma |c> = i^#Y (-1)^popcount(c & z) |c ^ x>``, so ``sigma @ S`` is a
-row gather of ``S`` times a phase per row (:func:`word_actions`), and
-decompose and reconstruct are gathers and scatters grouped by the x mask
-(as in Hantzko-Binkowski-Gupta, arXiv:2310.13421).
+row gather of ``S`` times a phase per row (:func:`word_actions`).  The sign
+is a Walsh character in z, so decompose and reconstruct group the entries by
+the x mask (Hantzko-Binkowski-Gupta, arXiv:2310.13421) and take one
+Walsh-Hadamard transform over z: n butterfly stages, n 4^n work.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from .errors import ValidationError
 LETTERS = "IXYZ"
 
 #: Largest supported qubit count.  Unitaries and Hamiltonians are dense
-#: (2^n, 2^n) matrices, and the word tables cached here hold 8^n entries:
-#: 10.5 MB at n = 6, built in 9 ms on a 2-core Xeon VM.  Each further
-#: qubit multiplies them, and decompose and reconstruct, by eight.
+#: (2^n, 2^n) matrices, and decompose and reconstruct take n 4^n steps over
+#: (2^n, 2^n) tables (128 KB at n = 6).  The word gathers of gate products
+#: hold 2^n (4^n - 1) entries, 6.3 MB at n = 6, and grow eightfold per qubit.
 MAX_QUBITS = 6
 
-HERMITIAN_TOL = 1e-10
-TRACE_TOL = 1e-10
+HERMITIAN_TOL = TRACE_TOL = 1e-10
 
 
 def _check_qubit_count(n: int) -> None:
@@ -84,34 +84,40 @@ def _words(n: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]
 
 
 def partition_k(n: int) -> int:
-    """Number of weight-at-most-2 basis words: 9 n (n - 1) / 2 + 3 n.
-
-    There are 3n single-qubit words and 9 n(n-1)/2 two-qubit words (nine
-    letter pairs per unordered qubit pair).
-    """
+    """Number of weight-at-most-2 basis words: 3n single-qubit words plus nine letter pairs on
+    each of the n (n - 1) / 2 qubit pairs."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"qubit count must be a positive integer, got {n!r}")
     return 9 * (n * n - n) // 2 + 3 * n
 
 
-#: ``i^k`` for ``k = 0..3``.
-_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])  # i^k for k = 0..3
+
+
+def _walsh(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis of a (2^n, 2^n) array, in n butterfly
+    stages: ``out[:, z] = sum_s (-1)^popcount(s & z) a[:, s]``.  Overwrites ``a``."""
+    rows, dim = a.shape
+    spare = np.empty_like(a)
+    for half in 1 << np.arange(dim.bit_length() - 1):
+        pairs, into = a.reshape(rows, -1, 2, half), spare.reshape(rows, -1, 2, half)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 0])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 1])
+        a, spare = spare, a
+    return a
 
 
 @lru_cache(maxsize=None)
-def _phase_grid(n: int) -> np.ndarray:
-    """Read-only (2^n, 2^n, 2^n) table of row phases, indexed ``[x, z, r]``.
-
-    Row ``r`` of the word with masks ``(x, z)`` holds one nonzero, in
-    column ``r ^ x``: ``i^popcount(x & z) (-1)^popcount((r ^ x) & z)``.
-    """
+def _mask_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (2^n, 2^n) tables indexed ``[a, b]``: ``a ^ b``, ``popcount(a & b)`` and
+    ``i^popcount(a & b)``.  Every phase of the basis is read from the popcounts."""
     _check_qubit_count(n)
-    masks = np.arange(2**n, dtype=np.uint8)  # the popcount sums below stay under 256
-    popcount = sum((masks >> bit) & 1 for bit in range(n))
-    x, z, r = masks[:, None, None], masks[None, :, None], masks[None, None, :]
-    grid = _POWERS_OF_I[(popcount[x & z] + 2 * popcount[(r ^ x) & z]) % 4]
-    grid.flags.writeable = False
-    return grid
+    masks = np.arange(2**n)
+    flip, both = masks[:, None] ^ masks, masks[:, None] & masks
+    overlap = sum((both >> bit) & 1 for bit in range(n))
+    phase = _POWERS_OF_I[overlap % 4]
+    flip.flags.writeable = overlap.flags.writeable = phase.flags.writeable = False
+    return flip, overlap, phase
 
 
 @lru_cache(maxsize=None)
@@ -123,10 +129,10 @@ def word_actions(n: int) -> tuple[np.ndarray, np.ndarray]:
     arrays are read-only.
     """
     _, x, z, _ = _words(n)
-    source = x[:, None] ^ np.arange(2**n)
-    phase = _phase_grid(n)[x, z]
-    source.flags.writeable = False
-    phase.flags.writeable = False
+    flip, overlap, _ = _mask_tables(n)
+    source = flip[x]
+    phase = _POWERS_OF_I[(overlap[x, z][:, None] + 2 * overlap[source, z[:, None]]) % 4]
+    source.flags.writeable = phase.flags.writeable = False
     return source, phase
 
 
@@ -143,10 +149,8 @@ def weight_vector(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CoeffVector:
-    """Real coefficients over the non-identity basis words, canonical order.
-
-    Immutable; the stored array is a read-only copy of the input.
-    """
+    """Real coefficients over the non-identity basis words, canonical order; immutable, the
+    stored array is a read-only copy of the input."""
 
     n: int
     values: np.ndarray
@@ -156,9 +160,8 @@ class CoeffVector:
         values = np.asarray(self.values, dtype=float)
         expected = 4**self.n - 1
         if values.shape != (expected,):
-            raise ValidationError(
-                f"coefficient vector for n={self.n} must have shape ({expected},), got {values.shape}"
-            )
+            raise ValidationError(f"coefficient vector for n={self.n} must have shape ({expected},), "
+                                  f"got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValidationError("coefficient vector has non-finite entries")
         values = values.copy()
@@ -177,9 +180,7 @@ class CoeffVector:
         values = np.zeros(4**n - 1)
         for word, value in coefficients.items():
             if word not in index:
-                raise ValidationError(
-                    f"unknown Pauli word {word!r} for n={n} (identity word excluded)"
-                )
+                raise ValidationError(f"unknown Pauli word {word!r} for n={n} (identity word excluded)")
             try:
                 value = float(value)
             except OverflowError:
@@ -204,14 +205,10 @@ class CoeffVector:
 def decompose(matrix: np.ndarray, n: int) -> CoeffVector:
     """Coefficients of a traceless Hermitian matrix over the Pauli basis.
 
-    Uses the trace inner product: ``y_i = Re(tr(sigma_i @ H)) / 2^n``.
-
-    Raises
-    ------
-    ValidationError
-        If the matrix shape does not match ``n``, the matrix has a non-finite
-        entry, it is not Hermitian to within ``HERMITIAN_TOL``, or its trace
-        exceeds ``TRACE_TOL`` in magnitude.
+    Uses the trace inner product: ``y_i = Re(tr(sigma_i @ H)) / 2^n``.  Raises
+    ``ValidationError`` if the shape does not match ``n``, an entry is not finite,
+    the matrix is not Hermitian to within ``HERMITIAN_TOL``, or its trace exceeds
+    ``TRACE_TOL`` in magnitude.
     """
     _check_qubit_count(n)
     matrix = np.asarray(matrix, dtype=complex)
@@ -228,21 +225,23 @@ def decompose(matrix: np.ndarray, n: int) -> CoeffVector:
     if abs(trace) > TRACE_TOL:
         raise ValidationError(f"matrix has a nonzero identity component: trace = {trace:.6e}; "
                               "subtract (trace / dim) * I before decomposing")
-    # tr(sigma_k @ H) = sum_r phase[k, r] H[source[k, r], r]
-    source, phase = word_actions(n)
-    coefficients = np.einsum("kr,kr->k", phase, matrix[source, np.arange(dim)]).real / dim
-    return CoeffVector(n, coefficients)
+    # tr(sigma_(x,z) H) = i^popcount(x & z) sum_s (-1)^popcount(s & z) H[s, s ^ x]; an entry
+    # near the float limit overflows to inf or nan, which CoeffVector refuses
+    flip, _, phase = _mask_tables(n)
+    _, x, z, _ = _words(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = (phase * _walsh(matrix[np.arange(dim), flip])).real
+    return CoeffVector(n, traces[x, z] / dim)
 
 
 def reconstruct(y: CoeffVector) -> np.ndarray:
     """Dense matrix ``sum_i y_i sigma_i``; traceless Hermitian by construction."""
     dim = 2**y.n
+    flip, _, phase = _mask_tables(y.n)
     _, x, z, _ = _words(y.n)
     grid = np.zeros((dim, dim))
     grid[x, z] = y.values
-    # every word with mask x has its nonzeros at (r, r ^ x): sum those over z
-    by_x = np.einsum("xz,xzr->xr", grid, _phase_grid(y.n))
-    rows = np.arange(dim)
-    out = np.empty((dim, dim), dtype=complex)
-    out[rows, rows[:, None] ^ rows] = by_x
-    return out
+    # the words with mask x put sum_z i^popcount(x & z) (-1)^popcount(s & z) y_(x,z) at (s ^ x, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        by_x = _walsh(phase * grid)
+    return by_x[flip, np.arange(dim)]

@@ -24,7 +24,7 @@ REMOVED = {
                "check_finsler_properties", "half_square_hessian", "NormPropertyReport",
                "_evaluate", "_central_gradient"],
     "paths": ["OptimizerSettings", "OptimizerStats", "distance_lower"],
-    "pauli": ["PauliString", "enumerate_basis", "_SINGLE"],
+    "pauli": ["PauliString", "enumerate_basis", "_SINGLE", "_phase_grid"],
     "simulation": ["project_hamiltonian"],
 }
 

@@ -213,6 +213,28 @@ def test_a_penalty_that_overflows_the_norm_is_refused_naming_p(runner, tmp_path,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("n, words", [(1, {"X": 0.5}), (3, {"XII": 0.5, "IZZ": 0.2})])
+def test_a_penalty_that_overflows_the_simulation_sandwich_is_refused_naming_p(runner, tmp_path, n, words):
+    # no penalized word: the norm stays finite, and count * p * rho_sup overflows
+    schedule = _write(tmp_path, "s.json", {"n": n, "segments": [{"tau": 1.0, "y": words}]})
+    result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "0.1", "--p", "1e308",
+                                  "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == ("error: simulation sandwich evaluated to a non-finite upper bound: "
+                             "p = 1e+308 is too large for this gate sequence\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_ragged_matrix_exits_2_naming_the_shape(runner, tmp_path, part):
+    payload = {"n": 1, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}
+    payload[part] = [[0, 1], [1, 0, 0]]
+    path = _write(tmp_path, "rag.json", payload)
+    result = runner.invoke(main, ["decompose", "--matrix", path, "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {path}: {part!r} must be a 2x2 array\n"
+
+
 def test_distance_brackets_rotation(runner, tmp_path):
     out = str(tmp_path / "d.json")
     result = runner.invoke(main, ["distance", "--unitary", _x_rotation(tmp_path),
