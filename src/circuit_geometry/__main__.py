@@ -6,9 +6,11 @@ from .cli import main
 
 
 def run() -> None:
-    """Run ``cgeo``; no collection, the one at exit included, walks the import-time heap."""
-    gc.freeze()
-    main(prog_name="cgeo")
+    """Run ``cgeo``; the collection at exit skips the heap the command loaded."""
+    try:
+        main(prog_name="cgeo")
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

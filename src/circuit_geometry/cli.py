@@ -27,31 +27,9 @@ from dataclasses import asdict
 
 import click
 
-from .bounds import (
-    BoundReport,
-    check_segment_distortion,
-    check_sim_sandwich,
-    estimate_distortion,
-    gate_count_scaling,
-)
-from .charts import exp_coords, identity
+from . import bounds, charts, io, paths, pauli, simulation
+from . import metric as metric_module
 from .errors import ValidationError
-from .io import (
-    _named,
-    load_matrix,
-    load_schedule,
-    load_unitary,
-    save_gates,
-    schedule_to_dict,
-    write_bounds_csv,
-    write_report,
-)
-from .metric import MetricConfig, PenaltyNorm, default_penalty, distortion_constants
-from .paths import ENDPOINT_TOL, distance_upper
-from .pauli import CoeffVector
-from .pauli import decompose as pauli_decompose
-from .simulation import schedule_endpoint
-from .simulation import simulate as run_simulate
 
 REPORT_VERSION = "1"
 OUT_DIR_ENV = "CGEO_OUT_DIR"
@@ -72,7 +50,7 @@ def _default_out(command: str, fmt: str) -> str:
 
 
 def _finish(
-    command: str, options: dict, metric: MetricConfig | None, results: dict, reports: list
+    command: str, options: dict, metric: metric_module.MetricConfig | None, results: dict, reports: list
 ) -> None:
     config = {"command": command, **options}
     if metric is not None:
@@ -86,9 +64,9 @@ def _finish(
             "results": results,
             "bound_reports": [r.to_dict() for r in reports],
         }
-        write_report(out, payload)
+        io.write_report(out, payload)
     else:
-        write_bounds_csv(out, reports)
+        io.write_bounds_csv(out, reports)
     passed = sum(1 for r in reports if r.passed)
     click.echo(f"wrote {out} ({passed}/{len(reports)} bound checks passed)")
     sys.exit(EXIT_OK if passed == len(reports) else EXIT_BOUND_FAILURE)
@@ -165,24 +143,24 @@ schedule_option = click.option(
 )
 
 
-def _metric(n: int, p: float | None) -> MetricConfig:
-    return MetricConfig(n, default_penalty(n) if p is None else p)
+def _metric(n: int, p: float | None) -> metric_module.MetricConfig:
+    return metric_module.MetricConfig(n, metric_module.default_penalty(n) if p is None else p)
 
 
 def _bracket(unitary: str, p: float | None, segments: int):
     """Bracket the distance to the target in ``unitary``: ``(metric, estimate, results, reports)``."""
-    target = load_unitary(unitary)
+    target = io.load_unitary(unitary)
     metric = _metric(target.n, p)
-    estimate = distance_upper(target, metric, segments)
+    estimate = paths.distance_upper(target, metric, segments)
     results = {
         "lower": estimate.lower,
         "upper": estimate.upper,
-        "witness": schedule_to_dict(estimate.witness),
+        "witness": io.schedule_to_dict(estimate.witness),
         "stats": asdict(estimate.stats),
     }
     # the lower estimate must not exceed the upper beyond the witness's
     # endpoint feasibility tolerance
-    report = BoundReport("distance-bracket", 0.0, estimate.lower, estimate.upper + ENDPOINT_TOL)
+    report = bounds.BoundReport("distance-bracket", 0.0, estimate.lower, estimate.upper + paths.ENDPOINT_TOL)
     return metric, estimate, results, [report]
 
 
@@ -191,8 +169,8 @@ def _bracket(unitary: str, p: float | None, segments: int):
               help="Traceless Hermitian matrix file (JSON with n, re, im).")
 def decompose(matrix, **_):
     """Expand a traceless Hermitian matrix over the Pauli basis."""
-    n, values = load_matrix(matrix)
-    coefficients = _named(matrix, pauli_decompose, values, n)
+    n, values = io.load_matrix(matrix)
+    coefficients = io._named(matrix, pauli.decompose, values, n)
     results = {
         "n": n,
         "coefficients": coefficients.to_words(),
@@ -221,19 +199,19 @@ def distance(unitary, p, segments, **_):
               help="Also write the synthesized gate sequence to this file.")
 def simulate(schedule, p, delta, gates_out, **_):
     """Synthesize a schedule into weight-2 gates and check the length sandwich."""
-    loaded = load_schedule(schedule)
+    loaded = io.load_schedule(schedule)
     metric = _metric(loaded.n, p)
     if delta == "auto":
-        upper = distance_upper(schedule_endpoint(loaded), metric).upper
+        upper = paths.distance_upper(simulation.schedule_endpoint(loaded), metric).upper
         width = min(1.0 / (metric.n**2 * upper), loaded.duration) if upper > 0 else loaded.duration
     else:
         try:
             width = float(delta)
         except ValueError:
             raise ValidationError(f"--delta must be a number or 'auto', got {delta!r}")
-    result = run_simulate(loaded, metric, width)
+    result = simulation.simulate(loaded, metric, width)
     if gates_out:
-        save_gates(gates_out, result.gate_sequence)
+        io.save_gates(gates_out, result.gate_sequence)
     results = {
         "delta": result.gate_sequence.delta,
         "gate_count": result.gate_count,
@@ -242,7 +220,7 @@ def simulate(schedule, p, delta, gates_out, **_):
         "rho_inf": result.rho_inf,
         "rho_sup": result.rho_sup,
     }
-    return metric, results, [check_sim_sandwich(result, metric)]
+    return metric, results, [bounds.check_sim_sandwich(result, metric)]
 
 
 @_subcommand
@@ -254,20 +232,20 @@ def verify(unitary, p, segments, **_):
     """Estimate the distance to a target and verify the chart sandwiches."""
     metric, estimate, results, reports = _bracket(unitary, p, segments)
     rhos = []
-    current = identity(metric.n)
+    current = charts.identity(metric.n)
     for index, (row, tau) in enumerate(estimate.witness.segments):
-        following = exp_coords(CoeffVector(metric.n, row * tau), current)
-        report = check_segment_distortion(current, following, metric)
+        following = charts.exp_coords(pauli.CoeffVector(metric.n, row * tau), current)
+        report = bounds.check_segment_distortion(current, following, metric)
         rhos.append(report.lower)
         reports.append(
-            BoundReport(f"segment-distortion-{index}", report.lower, report.observed, report.upper)
+            bounds.BoundReport(f"segment-distortion-{index}", report.lower, report.observed, report.upper)
         )
         current = following
     if rhos:
-        m_lower, m_upper = distortion_constants(metric)
+        m_lower, m_upper = metric_module.distortion_constants(metric)
         count = len(rhos)
         reports.append(
-            BoundReport(
+            bounds.BoundReport(
                 "decomposition-sandwich",
                 count * m_lower * min(rhos),
                 estimate.upper,
@@ -287,11 +265,11 @@ def verify(unitary, p, segments, **_):
 def distortion(n, p, samples, seed, **_):
     """Estimate the distortion constants of the penalty norm by sampling."""
     metric = _metric(n, p)
-    m_hat, big_m_hat = estimate_distortion(PenaltyNorm(metric), n, samples, seed)
-    m_exact, big_m_exact = distortion_constants(metric)
+    m_hat, big_m_hat = bounds.estimate_distortion(metric_module.PenaltyNorm(metric), n, samples, seed)
+    m_exact, big_m_exact = metric_module.distortion_constants(metric)
     reports = [
-        BoundReport("distortion-min", m_exact, m_hat, big_m_exact),
-        BoundReport("distortion-max", m_exact, big_m_hat, big_m_exact),
+        bounds.BoundReport("distortion-min", m_exact, m_hat, big_m_exact),
+        bounds.BoundReport("distortion-max", m_exact, big_m_hat, big_m_exact),
     ]
     results = {
         "m_hat": m_hat, "M_hat": big_m_hat,
@@ -307,14 +285,14 @@ def distortion(n, p, samples, seed, **_):
               help="Comma-separated slice widths (at least three, spanning a factor of 4).")
 def scaling(schedule, p, deltas, **_):
     """Fit the gate-count growth against the inverse slice width."""
-    loaded = load_schedule(schedule)
+    loaded = io.load_schedule(schedule)
     metric = _metric(loaded.n, p)
     try:
         widths = [float(part) for part in deltas.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--deltas must be comma-separated numbers, got {deltas!r}")
-    report = gate_count_scaling(loaded, metric, widths)
-    slope_report = BoundReport(
+    report = bounds.gate_count_scaling(loaded, metric, widths)
+    slope_report = bounds.BoundReport(
         "scaling-slope", EXPECTED_SLOPE - SLOPE_TOL, report.slope, EXPECTED_SLOPE + SLOPE_TOL
     )
     return metric, asdict(report), [slope_report]

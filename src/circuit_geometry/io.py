@@ -105,12 +105,6 @@ def load_unitary(path: str) -> Unitary:
     return _named(path, Unitary, *load_matrix(path))
 
 
-def save_matrix(path: str, n: int, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=complex)
-    payload = {"n": int(n), "re": matrix.real.tolist(), "im": matrix.imag.tolist()}
-    write_report(path, payload)
-
-
 def schedule_from_dict(payload: dict, source: str = "<schedule>") -> Schedule:
     """Parse the schedule format.  The reader checks the JSON shape, and
     :meth:`CoeffVector.from_words` and :meth:`Schedule.from_segments` check the

@@ -67,7 +67,8 @@ class DistanceEstimate:
         if self.lower < 0 or self.upper < 0:
             raise ValidationError("distance estimates must be nonnegative")
         if self.lower > self.upper + ENDPOINT_TOL:
-            raise ValidationError(
+            # the chart bound cannot exceed a witness length: a fault of the package
+            raise RuntimeError(
                 f"lower estimate {self.lower:.9f} exceeds upper estimate "
                 f"{self.upper:.9f} beyond the allowed slack"
             )

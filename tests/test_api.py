@@ -3,23 +3,28 @@
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 import circuit_geometry
 from circuit_geometry.cli import main
+from util import COMPUTE_MODULES, subprocess_env
 
 #: Names deleted when each job was left with a single public entry point, the
 #: "infeasible" outcome, which no target has once every target gets a bracket,
 #: the exception classes folded into the one refusal type, ``ValidationError``,
-#: and the dense Pauli word type, which only the tests' oracle needed.
+#: the dense Pauli word type, which only the tests' oracle needed, and the
+#: matrix writer, which no command used.
 REMOVED = {
     "bounds": ["_strata", "_require_positive"],
     "charts": ["ChartPoint", "CHART_RADIUS", "eigen_exp", "chart_segment_rho"],
     "cli": ["EXIT_INFEASIBLE"],
     "errors": ["InfeasibleError", "DomainError", "IdentityComponentError", "CoefficientBoundError",
                "BranchCutError", "EvaluationError"],
+    "io": ["save_matrix"],
     "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values",
                "check_finsler_properties", "half_square_hessian", "NormPropertyReport",
                "_evaluate", "_central_gradient"],
@@ -33,6 +38,31 @@ def test_every_exported_name_resolves():
     assert len(set(circuit_geometry.__all__)) == len(circuit_geometry.__all__)
     for name in circuit_geometry.__all__:
         assert getattr(circuit_geometry, name) is not None, name
+
+
+def test_every_exported_name_is_its_modules_object():
+    assert set(circuit_geometry.__all__) <= set(dir(circuit_geometry))
+    for name in circuit_geometry.__all__:
+        value = getattr(circuit_geometry, name)
+        module = value.__module__.rpartition(".")[2]
+        assert module in [*COMPUTE_MODULES, "errors"], name
+        assert getattr(getattr(circuit_geometry, module), name) is value, name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    assert not hasattr(circuit_geometry, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        circuit_geometry.no_such_name
+
+
+def test_importing_the_cli_binds_every_compute_module():
+    # bench/tracer.py wraps the functions of the modules it finds in sys.modules after this import
+    script = ("import sys\nimport circuit_geometry.cli\n"
+              f"print([name for name in {COMPUTE_MODULES!r} if 'circuit_geometry.' + name not in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in REMOVED.items() for n in names])

@@ -32,7 +32,8 @@ from circuit_geometry import (
 )
 from circuit_geometry import __main__ as entry
 from circuit_geometry.cli import main
-from util import brute_force_distance, chain_schedule, haar_unitary, random_traceless_hermitian, subprocess_env
+from util import (COMPUTE_MODULES, brute_force_distance, chain_schedule, haar_unitary, random_traceless_hermitian,
+                  subprocess_env)
 
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
@@ -490,7 +491,7 @@ def test_unexpected_exception_exits_2(runner, tmp_path, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "distance_upper", broken)
+    monkeypatch.setattr(cli.paths, "distance_upper", broken)
     result = runner.invoke(main, ["distance", "--unitary", _x_rotation(tmp_path),
                                   "--out", str(tmp_path / "r.json")])
     assert result.exit_code == 2
@@ -515,7 +516,7 @@ def test_interrupted_run_exits_130(runner, tmp_path, monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "distance_upper", interrupted)
+    monkeypatch.setattr(cli.paths, "distance_upper", interrupted)
     result = runner.invoke(main, ["distance", "--unitary", _x_rotation(tmp_path),
                                   "--out", str(tmp_path / "r.json")])
     assert result.exit_code == 130
@@ -531,11 +532,11 @@ CGEO = "from circuit_geometry.cli import main\nmain(prog_name='cgeo')\n"
 ANNOUNCED_SAMPLER_CGEO = (
     "import sys\n"
     "from circuit_geometry import cli\n"
-    "sampler = cli.estimate_distortion\n"
+    "sampler = cli.bounds.estimate_distortion\n"
     "def announced(*args):\n"
     "    print('sampling', file=sys.stderr, flush=True)\n"
     "    return sampler(*args)\n"
-    "cli.estimate_distortion = announced\n"
+    "cli.bounds.estimate_distortion = announced\n"
     "cli.main(prog_name='cgeo')\n"
 )
 
@@ -727,12 +728,40 @@ def test_console_script_help():
         assert command in proc.stdout
 
 
-def test_the_process_entry_freezes_the_heap_once_before_running(monkeypatch):
+#: numpy and the compute modules, by their names in ``sys.modules``.
+NUMERICAL_MODULES = ["numpy", *(f"circuit_geometry.{name}" for name in COMPUTE_MODULES)]
+
+#: Child-interpreter script that runs ``python -m circuit_geometry`` with its
+#: arguments, then prints last on stdout which of ``NUMERICAL_MODULES`` ran; a
+#: module bound but not yet run is still a lazy subclass of the module type.
+LOADED_AFTER_CGEO = (
+    "import runpy, sys, types\n"
+    "try:\n"
+    "    runpy.run_module('circuit_geometry', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    f"    print([name for name in {NUMERICAL_MODULES!r} if type(sys.modules.get(name)) is types.ModuleType])\n"
+)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (["decompose", "--help"], 0),
+    (["distance"], 2),
+], ids=["help", "subcommand-help", "usage-error"])
+def test_help_and_usage_errors_run_no_compute_module(args, code):
+    # start-up outweighs most commands' own work; only a command that computes pays for numpy
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_CGEO, *args],
+                          capture_output=True, text=True, timeout=60, env=subprocess_env())
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_the_process_entry_freezes_the_heap_once_after_running(monkeypatch):
     calls = []
     monkeypatch.setattr(entry.gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(entry, "main", lambda **kwargs: calls.append(kwargs))
     entry.run()
-    assert calls == ["freeze", {"prog_name": "cgeo"}]
+    assert calls == [{"prog_name": "cgeo"}, "freeze"]
 
 
 def test_cli_main_leaves_the_heap_unfrozen(runner):

@@ -24,7 +24,6 @@ from circuit_geometry import (
     load_schedule,
     load_unitary,
     save_gates,
-    save_matrix,
     schedule_from_dict,
     schedule_to_dict,
     slice_mean,
@@ -84,16 +83,6 @@ def test_load_unitary_checks_group_membership(tmp_path):
     with pytest.raises(ValidationError) as caught:
         load_unitary(path)
     assert str(caught.value) == f"{path}: matrix is not unitary: max |U U^dagger - I| = 3.000e+00"
-
-
-def test_save_matrix_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    path = str(tmp_path / "m.json")
-    save_matrix(path, 2, matrix)
-    n, loaded = load_matrix(path)
-    assert n == 2
-    assert np.array_equal(loaded, matrix)  # repr round-trips floats exactly
 
 
 def test_schedule_from_dict_errors():

@@ -198,7 +198,7 @@ def test_distance_upper_accepts_numpy_integer_segments():
 def test_estimate_validation():
     stats = WitnessStats(1, 1, 0.0)
     empty = _path(1, [])
-    with pytest.raises(ValidationError):
+    with pytest.raises(RuntimeError, match="exceeds upper estimate"):
         DistanceEstimate(1.0, 0.5, empty, stats)
     with pytest.raises(ValidationError):
         DistanceEstimate(-0.1, 0.5, empty, stats)

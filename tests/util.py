@@ -125,6 +125,10 @@ def dense_gate_product(sequence):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+#: The modules that hold the package's numerical work, each loaded on first use.
+COMPUTE_MODULES = ["bounds", "charts", "io", "metric", "pauli", "paths", "simulation"]
+
+
 def subprocess_env():
     """Environment for a child interpreter: this checkout's ``src`` first, one BLAS thread."""
     env = dict(os.environ)
