@@ -2,6 +2,10 @@
 """From control schedule to gate list: slicing, synthesis, endpoint
 accuracy against the dense propagator."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 
 from circuit_geometry import (
@@ -9,8 +13,8 @@ from circuit_geometry import (
     MetricConfig,
     Schedule,
     gate_product,
-    gates_to_dict,
     reconstruct,
+    save_gates,
     simulate,
     slice_mean,
     synthesize_gates,
@@ -30,7 +34,12 @@ def main():
     print(f"synthesized length L = {result.synthesized_length:.6f}")
     print(f"angle extremes: rho_inf = {result.rho_inf:.4f}, rho_sup = {result.rho_sup:.4f}")
     print(f"endpoint error vs dense propagator: {result.endpoint_error:.3e}")
-    first = gates_to_dict(seq)["gates"][:4]
+    # the file `cgeo simulate --gates-out` writes
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "gates.json")
+        save_gates(path, seq)
+        with open(path, encoding="utf-8") as handle:
+            first = json.load(handle)["gates"][:4]
     print("first four gates:", [(gate["pauli"], round(gate["angle"], 4)) for gate in first])
 
     print("\n== error shrinks quadratically with the slice width ==")

@@ -21,15 +21,14 @@ __version__ = "0.1.0"
 #: Public names by the compute module that defines them.
 _EXPORTS = {
     "bounds": [
-        "BoundReport", "ScalingReport", "check_segment_distortion", "check_sim_sandwich",
+        "BoundReport", "ScalingReport", "check_round_trip", "check_segment_distortion", "check_sim_sandwich",
         "estimate_distortion", "gate_count_bounds_chart", "gate_count_bounds_metric",
         "gate_count_scaling",
     ],
     "charts": ["Unitary", "exp_coords", "identity", "log_coords", "phase_aligned_frobenius", "unitary_exp"],
     "io": [
-        "gates_from_dict", "gates_to_dict", "load_gates", "load_json", "load_matrix", "load_schedule",
-        "load_unitary", "save_gates", "schedule_from_dict", "schedule_to_dict", "write_bounds_csv",
-        "write_report",
+        "load_json", "load_matrix", "load_schedule", "load_unitary", "save_gates", "schedule_from_dict",
+        "schedule_to_dict", "write_bounds_csv", "write_report",
     ],
     "metric": ["MetricConfig", "PenaltyNorm", "default_penalty", "distortion_constants"],
     "pauli": ["CoeffVector", "decompose", "partition_k", "reconstruct", "weight_vector", "word_actions"],

@@ -16,11 +16,14 @@ import numpy as np
 from .charts import Unitary, log_coords
 from .errors import ValidationError
 from .metric import MetricConfig, PenaltyNorm
-from .pauli import _as_float, _positive
+from .pauli import CoeffVector, _as_float, _positive, reconstruct
 from .simulation import Schedule, SimulationResult, _synthesize
 
 #: Slack applied on both sides of a bound before declaring failure.
 PASS_TOL = 1e-9
+
+#: Pauli round-trip residual allowed per unit of ``max(1, |H|_F)``.
+ROUND_TRIP_TOL = 1e-12
 
 #: Samples drawn per block by the distortion sampler.  A block holds two sums
 #: of squares per sample, 1 MB at 2^16 rows whatever n is, so memory stays
@@ -165,6 +168,19 @@ def gate_count_bounds_metric(
                         ("m_lower", m_lower), ("m_upper", m_upper)):
         _positive(value, name)
     return (distance / beta_sup, (m_upper / m_lower) * distance / beta_inf)
+
+
+def check_round_trip(matrix: np.ndarray, coefficients: CoeffVector) -> BoundReport:
+    """Pauli round trip: ``|reconstruct(coefficients) - P(H)|_F <= ROUND_TRIP_TOL max(1, |H|_F)``, with
+    ``P(H) = (H + H^dagger) / 2 - tr(H) / 2^n I`` the part of ``matrix`` that
+    :func:`~circuit_geometry.pauli.decompose` reads: it accepts Hermitian and trace defects up to 1e-10."""
+    # in units of a power of two no larger than the largest entry (or 1): exact, and no square overflows
+    scale = 2.0 ** max(0, int(np.frexp(np.max(np.abs(matrix)))[1]) - 1)
+    unit = np.asarray(matrix, dtype=complex) / scale
+    part = (unit + unit.conj().T) / 2.0 - np.trace(unit).real / len(unit) * np.eye(len(unit))
+    residual = scale * float(np.linalg.norm(reconstruct(coefficients) / scale - part))
+    size = scale * float(np.linalg.norm(unit))
+    return BoundReport("pauli-round-trip", 0.0, residual, ROUND_TRIP_TOL * max(1.0, size))
 
 
 def check_sim_sandwich(result: SimulationResult, config: MetricConfig) -> BoundReport:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import click
 
@@ -176,7 +176,7 @@ def decompose(matrix, **_):
         "coefficients": coefficients.to_words(),
         "euclidean_norm": coefficients.norm,
     }
-    return None, results, []
+    return None, results, [bounds.check_round_trip(values, coefficients)]
 
 
 @_subcommand
@@ -237,9 +237,7 @@ def verify(unitary, p, segments, **_):
         following = charts.exp_coords(pauli.CoeffVector(metric.n, row * tau), current)
         report = bounds.check_segment_distortion(current, following, metric)
         rhos.append(report.lower)
-        reports.append(
-            bounds.BoundReport(f"segment-distortion-{index}", report.lower, report.observed, report.upper)
-        )
+        reports.append(replace(report, context=f"segment-distortion-{index}"))
         current = following
     if rhos:
         m_lower, m_upper = metric_module.distortion_constants(metric)

@@ -9,7 +9,8 @@ Three JSON formats cross the package boundary:
   ``MAX_SLICES`` segments, omitted words read as zero; read and written
   by :func:`schedule_from_dict` and :func:`schedule_to_dict`;
 * gates: ``{"n": int, "delta": float, "gates": [{"pauli": word,
-  "angle": float}]}`` -- a synthesized gate sequence in order.
+  "angle": float}]}`` -- a synthesized gate sequence in order, written
+  by :func:`save_gates` and never read by the package.
 
 Reports are serialized with sorted keys, two-space indentation, and a
 trailing newline, and written atomically, so identical inputs produce
@@ -27,7 +28,7 @@ import numpy as np
 
 from .charts import Unitary
 from .errors import ValidationError
-from .pauli import MAX_QUBITS, CoeffVector, _word_positions, _words
+from .pauli import MAX_QUBITS, CoeffVector, _words
 from .simulation import MAX_SLICES, GateSequence, Schedule, _block_runs
 
 
@@ -150,49 +151,10 @@ def load_schedule(path: str) -> Schedule:
     return schedule_from_dict(load_json(path), path)
 
 
-def gates_to_dict(sequence: GateSequence) -> dict:
-    """The gates format: each position written as its word's letters."""
-    letters = _words(sequence.n)[0]
-    pairs = zip(sequence.gates.tolist(), sequence.angles.tolist())
-    gates = [{"pauli": letters[k], "angle": angle} for k, angle in pairs]
-    return {"n": sequence.n, "delta": sequence.delta, "gates": gates}
-
-
-def gates_from_dict(payload: dict, source: str = "<gates>") -> GateSequence:
-    """Parse the gates format.  The reader checks the JSON shape and that each
-    word is a non-identity word on ``n`` qubits, and :class:`GateSequence`
-    checks ``delta``, the word weights and the angles.  Every refusal starts
-    with ``source`` and names the gate by its letters."""
-    _require(isinstance(payload, dict), f"{source}: expected a JSON object")
-    for key in ("n", "delta", "gates"):
-        _require(key in payload, f"{source}: missing key {key!r}")
-    n = _qubits(payload["n"], source)
-    delta = _number(payload["delta"], f"{source}: 'delta'")
-    entries = payload["gates"]
-    _require(isinstance(entries, list), f"{source}: 'gates' must be a list")
-    positions = _word_positions(n)
-    gates = []
-    angles = []
-    for index, entry in enumerate(entries):
-        where = f"{source}: gate {index}"
-        _require(isinstance(entry, dict), f"{where}: expected an object")
-        _require("pauli" in entry and "angle" in entry, f"{where}: needs 'pauli' and 'angle'")
-        word = entry["pauli"]
-        _require(isinstance(word, str) and word in positions,
-                 f"{where}: 'pauli' must be a non-identity word of {n} letters from 'IXYZ', got {word!r}")
-        gates.append(positions[word])
-        angles.append(_number(entry["angle"], f"{where}: 'angle'"))
-    return _named(source, GateSequence, n, gates, angles, delta)
-
-
-def load_gates(path: str) -> GateSequence:
-    return gates_from_dict(load_json(path), path)
-
-
 def save_gates(path: str, sequence: GateSequence) -> None:
-    """:func:`write_report` of :func:`gates_to_dict` from a template; json's indenting encoder is pure Python.
-    json too writes floats by ``float.__repr__``; :class:`GateSequence` refuses non-finite ones.
-    Each run of repeated blocks is formatted once."""
+    """:func:`write_report` of the gates format, each position as its word's letters, from a template;
+    json's indenting encoder is pure Python.  json too writes floats by ``float.__repr__``;
+    :class:`GateSequence` refuses non-finite ones.  Each run of repeated blocks is formatted once."""
     letters = _words(sequence.n)[0]
     positions, angles = sequence.gates.tolist(), sequence.angles.tolist()
     blocks = []

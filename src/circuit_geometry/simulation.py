@@ -36,7 +36,7 @@ COUNT_GUARD = 1e-12
 #: writing that file takes about 1.4 s and a 390 MB process peak (2-core Xeon VM).
 #: :func:`gate_product` walks each distinct block once and powers its repeats,
 #: so the limit bounds its time only for a sequence without repeated blocks
-#: (one substep per slice, or a gates file written by hand): a walk of every
+#: (one substep per slice, or a sequence built by hand): a walk of every
 #: gate, about 21 us a gate at n = 6 on a 2-core Xeon VM, or 21 s at the limit.
 #: A slice mean holds 4^n - 1 coefficients (32 KB at n = 6), so the slice
 #: limit keeps the means within about 134 MB; the schedule reader holds a
@@ -44,12 +44,6 @@ COUNT_GUARD = 1e-12
 #: synthesis the benchmark runs (n = 6) has 40 slices and 21,600 gates.
 MAX_GATES = 1_000_000
 MAX_SLICES = 4096
-
-#: Largest distance witness, in coefficients (legs x (4^n - 1)), checked before
-#: it is built.  At the limit (16,644 legs at n = 3, 256 at n = 6) a ``cgeo
-#: distance`` report is 46-48 MB and the run peaks at 367 MB in 5.3 s (n = 3)
-#: and 361 MB in 4.0 s (n = 6), on a 2-core Xeon VM.
-MAX_WITNESS_COEFFICIENTS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)

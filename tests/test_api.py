@@ -16,15 +16,16 @@ from util import COMPUTE_MODULES, subprocess_env
 #: Names deleted when each job was left with a single public entry point, the
 #: "infeasible" outcome, which no target has once every target gets a bracket,
 #: the exception classes folded into the one refusal type, ``ValidationError``,
-#: the dense Pauli word type, which only the tests' oracle needed, and the
-#: matrix writer, which no command used.
+#: the dense Pauli word type, which only the tests' oracle needed, the
+#: matrix writer, which no command used, and the gates reader and second
+#: gates encoder: gates files are written, never read.
 REMOVED = {
     "bounds": ["_strata", "_require_positive"],
     "charts": ["ChartPoint", "CHART_RADIUS", "eigen_exp", "chart_segment_rho"],
     "cli": ["EXIT_INFEASIBLE"],
     "errors": ["InfeasibleError", "DomainError", "IdentityComponentError", "CoefficientBoundError",
                "BranchCutError", "EvaluationError"],
-    "io": ["save_matrix"],
+    "io": ["save_matrix", "gates_from_dict", "gates_to_dict", "load_gates"],
     "metric": ["minkowski_norm", "penalty_weights", "_weighted_norm", "_coerce_values",
                "check_finsler_properties", "half_square_hessian", "NormPropertyReport",
                "_evaluate", "_central_gradient"],
@@ -85,6 +86,38 @@ def test_every_raise_is_a_refusal_or_a_fault(path):
             raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             assert isinstance(raised, ast.Name) and raised.id in ("ValidationError", "RuntimeError"), \
                 f"{path.name}:{node.lineno}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_every_module_level_import_is_used_or_exported(path):
+    # a deletion can leave an import behind, as the gates reader would have left pauli._word_positions
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).partition(".")[0]: node.lineno
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(circuit_geometry.__all__) if path.name == "__init__.py" else set()
+    assert {f"{name} (line {line})" for name, line in imported.items() if name not in used | exported} == set()
+
+
+def _module_level_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+
+def test_every_private_module_level_name_is_referenced():
+    # a private helper whose last caller is deleted is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+    private = {f"{name}:{definition}" for name, tree in trees.items() for definition in _module_level_definitions(tree)
+               if definition.startswith("_") and not definition.startswith("__")}
+    assert len(private) > 20
+    assert {entry for entry in private if entry.partition(":")[2] not in loaded} == set()
 
 
 def test_the_one_exception_class_is_validation_error():

@@ -17,8 +17,10 @@ from circuit_geometry import (
     ScalingReport,
     SimulationResult,
     ValidationError,
+    check_round_trip,
     check_segment_distortion,
     check_sim_sandwich,
+    decompose,
     distortion_constants,
     estimate_distortion,
     exp_coords,
@@ -31,7 +33,7 @@ from circuit_geometry import (
     synthesize_gates,
 )
 from circuit_geometry import bounds, simulation
-from util import random_coeffs
+from util import random_coeffs, random_traceless_hermitian, word_matrix
 
 
 def _distortion_stream(seed):
@@ -347,6 +349,34 @@ def test_sim_sandwich_flags_fabricated_length():
     report = check_sim_sandwich(result, config)
     assert not report.passed
     assert report.observed == 99.0
+
+
+def test_round_trip_is_taken_against_the_traceless_hermitian_part():
+    # decompose accepts Hermitian and trace defects up to 1e-10; the 1e-12 bound must not flag them
+    h = random_traceless_hermitian(np.random.default_rng(11), 3)
+    h[0, 1] += 5e-11
+    h[2, 2] += 5e-11j
+    h += 1e-11 * np.eye(8)
+    report = check_round_trip(h, decompose(h, 3))
+    assert report.context == "pauli-round-trip"
+    assert report.passed and report.observed < 1e-14
+    assert report.upper == pytest.approx(1e-12 * np.linalg.norm(h))
+
+
+def test_round_trip_flags_coefficients_of_another_matrix():
+    rng = np.random.default_rng(2)
+    h = random_traceless_hermitian(rng, 2)
+    report = check_round_trip(h, decompose(random_traceless_hermitian(rng, 2), 2))
+    assert not report.passed
+    assert report.observed > 1.0
+
+
+def test_round_trip_of_entries_whose_squares_overflow():
+    # |H|_F^2 = 4e308 overflows, |y|^2 = 1e308 does not: decompose succeeds, and so must the check
+    h = 1e154 * word_matrix("XX")
+    report = check_round_trip(h, decompose(h, 2))
+    assert report.passed and report.observed == 0.0
+    assert report.upper == pytest.approx(2e142)
 
 
 def test_scaling_single_term_counts_are_exact():

@@ -21,19 +21,18 @@ from hypothesis import strategies as st
 from circuit_geometry import (
     cli,
     gate_product,
-    gates_to_dict,
     identity,
-    load_gates,
     load_schedule,
     load_unitary,
     paths,
+    pauli,
     phase_aligned_frobenius,
     schedule_endpoint,
 )
 from circuit_geometry import __main__ as entry
 from circuit_geometry.cli import main
-from util import (COMPUTE_MODULES, brute_force_distance, chain_schedule, haar_unitary, random_traceless_hermitian,
-                  subprocess_env)
+from util import (COMPUTE_MODULES, brute_force_distance, chain_schedule, gates_payload, haar_unitary,
+                  random_traceless_hermitian, read_gates, subprocess_env)
 
 GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
@@ -84,7 +83,32 @@ def test_decompose_happy(runner, tmp_path):
     assert report["version"] == "1"
     assert set(report) == {"version", "config", "results", "bound_reports"}
     assert report["results"]["coefficients"] == {"X": 1.0}
-    assert report["bound_reports"] == []
+    (round_trip,) = report["bound_reports"]
+    assert round_trip["context"] == "pauli-round-trip" and round_trip["passed"]
+
+
+@pytest.mark.parametrize("source", ["golden", "n=6"])
+def test_decompose_exits_1_when_the_transform_skips_a_butterfly_stage(runner, tmp_path, monkeypatch, source):
+    # a defect in the Pauli transform must read as a failed bound: exit 1, not 0 and not 2
+    if source == "golden":
+        matrix = os.path.join(GOLDEN_INPUTS, "hamiltonian.json")
+    else:
+        matrix = _write(tmp_path, "h.json", _matrix_file(random_traceless_hermitian(np.random.default_rng(11), 6)))
+    walsh = pauli._walsh
+
+    def skipping(a):
+        out = np.empty_like(a)
+        for low in (0, 1):  # no butterfly across the lowest bit
+            out[:, low::2] = walsh(np.ascontiguousarray(a[:, low::2]))
+        return out
+
+    out = str(tmp_path / "r.json")
+    assert runner.invoke(main, ["decompose", "--matrix", matrix, "--out", out]).exit_code == 0
+    monkeypatch.setattr(pauli, "_walsh", skipping)
+    result = runner.invoke(main, ["decompose", "--matrix", matrix, "--out", out])
+    assert result.exit_code == 1, result.output
+    (round_trip,) = _report(out)["bound_reports"]
+    assert not round_trip["passed"]
 
 
 def test_decompose_rejects_non_hermitian(runner, tmp_path):
@@ -289,7 +313,7 @@ def test_simulate_writes_gates(runner, tmp_path):
 
 
 def test_gates_file_reproduces_the_reported_endpoint_error(runner, tmp_path):
-    # the writer, the reader and the gate product of the columnar sequence, end to end
+    # the writer and the gate product of the columnar sequence, end to end
     schedule = os.path.join(GOLDEN_INPUTS, "schedule3.json")
     out = str(tmp_path / "sim.json")
     gates_out = str(tmp_path / "gates.json")
@@ -297,7 +321,7 @@ def test_gates_file_reproduces_the_reported_endpoint_error(runner, tmp_path):
                                   "--out", out, "--gates-out", gates_out])
     assert result.exit_code == 0, result.output
     report = _report(out)["results"]
-    sequence = load_gates(gates_out)
+    sequence = read_gates(gates_out)
     assert sequence.gates.size == report["gate_count"]
     target = schedule_endpoint(load_schedule(schedule)).matrix
     error = phase_aligned_frobenius(gate_product(sequence).matrix, target) / 2 ** (sequence.n / 2)
@@ -311,8 +335,8 @@ def test_auto_delta_gates_file_is_the_json_encoding_of_its_sequence(runner, tmp_
     result = runner.invoke(main, ["simulate", "--schedule", schedule, "--delta", "auto",
                                   "--out", out, "--gates-out", str(gates_out)])
     assert result.exit_code == 0, result.output
-    sequence = load_gates(str(gates_out))
-    expected = json.dumps(gates_to_dict(sequence), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    sequence = read_gates(gates_out)
+    expected = json.dumps(gates_payload(sequence), sort_keys=True, indent=2, allow_nan=False) + "\n"
     assert gates_out.read_bytes() == expected.encode("utf-8")
     report = _report(out)["results"]
     assert sequence.delta == report["delta"] and sequence.gates.size == report["gate_count"]

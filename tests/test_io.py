@@ -15,10 +15,6 @@ from circuit_geometry import (
     MetricConfig,
     Schedule,
     ValidationError,
-    gate_product,
-    gates_from_dict,
-    gates_to_dict,
-    load_gates,
     load_json,
     load_matrix,
     load_schedule,
@@ -33,6 +29,7 @@ from circuit_geometry import (
     write_report,
 )
 from circuit_geometry.bounds import BoundReport
+from util import gates_payload, read_gates
 
 
 def _write(tmp_path, name, payload):
@@ -206,92 +203,12 @@ def test_load_schedule(tmp_path):
     assert schedule.duration == 1.5
 
 
-def test_gates_round_trip(tmp_path):
-    config = MetricConfig(1, 1.0)
-    means = slice_mean(Schedule.constant(CoeffVector.from_words(1, {"X": 0.4, "Z": 0.3}), 1.0), 0.5)
-    sequence = synthesize_gates(means, 0.5, config)
-    path = str(tmp_path / "g.json")
-    save_gates(path, sequence)
-    loaded = load_gates(path)
-    assert loaded.n == sequence.n
-    assert loaded.delta == sequence.delta
-    assert np.array_equal(loaded.gates, sequence.gates)
-    assert np.array_equal(loaded.angles, sequence.angles)
-    assert np.array_equal(gate_product(loaded).matrix, gate_product(sequence).matrix)
-
-
-def test_gates_from_dict_errors():
-    with pytest.raises(ValidationError, match="missing key 'delta'"):
-        gates_from_dict({"n": 1, "gates": []}, "f")
-    with pytest.raises(ValidationError, match="'delta' must be a number"):
-        gates_from_dict({"n": 1, "delta": False, "gates": []}, "f")
-    with pytest.raises(ValidationError, match="gate 0"):
-        gates_from_dict({"n": 1, "delta": 0.1, "gates": [{"pauli": "X"}]}, "f")
-    with pytest.raises(ValidationError, match="'angle' must be a number"):
-        gates_from_dict({"n": 1, "delta": 0.1, "gates": [{"pauli": "X", "angle": "x"}]}, "f")
-    with pytest.raises(ValidationError, match="gate 0 .*weight above two"):
-        gates_from_dict({"n": 3, "delta": 0.1,
-                         "gates": [{"pauli": "XXX", "angle": 0.1}]}, "f")
-
-
-@pytest.mark.parametrize("word", ["II", "I", "XXX", "XQ", "", 3, None])
-def test_gates_from_dict_refuses_a_word_that_is_not_a_gate(word):
-    # the identity word once loaded and then failed inside the gate product
-    payload = {"n": 2, "delta": 0.1, "gates": [{"pauli": "XZ", "angle": 0.1}, {"pauli": word, "angle": 0.1}]}
-    with pytest.raises(ValidationError, match="f: gate 1: 'pauli' must be a non-identity word of 2 letters"):
-        gates_from_dict(payload, "f")
-
-
-def test_gates_reader_refuses_a_nan_angle(tmp_path):
-    path = tmp_path / "g.json"
-    path.write_text('{"n": 1, "delta": 0.1, "gates": [{"pauli": "X", "angle": 0.1}, '
-                    '{"pauli": "Z", "angle": NaN}]}')
-    with pytest.raises(ValidationError, match="gate 1 .*non-finite angle"):
-        load_gates(str(path))
-
-
-def test_gates_reader_names_the_file_and_the_letters_of_a_weight_three_word():
-    payload = {"n": 3, "delta": 0.1, "gates": [{"pauli": "XXI", "angle": 0.1}, {"pauli": "XYZ", "angle": 0.2}]}
-    with pytest.raises(ValidationError) as caught:
-        gates_from_dict(payload, "f.json")
-    assert str(caught.value) == "f.json: gate 1 (XYZ, angle 0.2) has a word of weight above two"
-
-
-@pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
-def test_gates_reader_names_the_file_for_a_non_finite_angle(angle):
-    payload = {"n": 2, "delta": 0.1, "gates": [{"pauli": "ZI", "angle": angle}]}
-    with pytest.raises(ValidationError) as caught:
-        gates_from_dict(payload, "f.json")
-    assert str(caught.value) == f"f.json: gate 0 (ZI, angle {angle}) has a non-finite angle"
-
-
-@pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan"), float("inf")])
-def test_gates_reader_names_the_file_for_a_bad_delta(delta):
-    with pytest.raises(ValidationError) as caught:
-        gates_from_dict({"n": 1, "delta": delta, "gates": []}, "f.json")
-    assert str(caught.value) == f"f.json: 'delta' must be positive and finite, got {delta}"
-
-
 def test_readers_reject_integers_too_large_for_a_float():
     huge = 10**400
-    with pytest.raises(ValidationError, match="'delta' is too large"):
-        gates_from_dict({"n": 1, "delta": huge, "gates": []}, "f")
-    with pytest.raises(ValidationError, match="'angle' is too large"):
-        gates_from_dict({"n": 1, "delta": 0.1, "gates": [{"pauli": "X", "angle": huge}]}, "f")
     with pytest.raises(ValidationError, match="'tau' is too large"):
         schedule_from_dict({"n": 1, "segments": [{"tau": huge, "y": {"X": 0.5}}]}, "f")
     with pytest.raises(ValidationError, match="coefficient for 'X' is too large"):
         schedule_from_dict({"n": 1, "segments": [{"tau": 1, "y": {"X": huge}}]}, "f")
-
-
-def test_gates_to_dict_lists_in_order():
-    config = MetricConfig(1, 1.0)
-    means = slice_mean(Schedule.constant(CoeffVector.from_words(1, {"X": 0.4}), 0.5), 0.5)
-    sequence = synthesize_gates(means, 0.5, config)
-    payload = gates_to_dict(sequence)
-    assert payload["n"] == 1
-    assert payload["delta"] == 0.5
-    assert all(entry["pauli"] == "X" for entry in payload["gates"])
 
 
 @st.composite
@@ -323,8 +240,12 @@ def _gate_sequences(draw):
 def test_save_gates_writes_the_json_encoding_byte_for_byte(tmp_path, sequence):
     path = tmp_path / "g.json"
     save_gates(str(path), sequence)
-    expected = json.dumps(gates_to_dict(sequence), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    expected = json.dumps(gates_payload(sequence), sort_keys=True, indent=2, allow_nan=False) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+    loaded = read_gates(path)
+    assert (loaded.n, loaded.delta) == (sequence.n, sequence.delta)
+    assert np.array_equal(loaded.gates, sequence.gates)
+    assert np.array_equal(loaded.angles.view(np.int64), sequence.angles.view(np.int64))
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])

@@ -1,12 +1,14 @@
 """Shared helpers for the test suite: seeded random matrices and schedules,
-and dense oracles for the Pauli bitmask kernel."""
+dense oracles for the Pauli bitmask kernel, and a reference encoder and a
+trusted reader for the gates format, which the package only writes."""
 
 import itertools
+import json
 import os
 
 import numpy as np
 
-from circuit_geometry import CoeffVector, Unitary
+from circuit_geometry import CoeffVector, GateSequence, Unitary
 from circuit_geometry.pauli import _words
 
 
@@ -120,6 +122,26 @@ def dense_gate_product(sequence):
     for k, angle in zip(sequence.gates, sequence.angles):
         state = np.cos(angle) * state - 1j * np.sin(angle) * (word_matrix(letters[k]) @ state)
     return state
+
+
+def gates_payload(sequence):
+    """The gates format of ``sequence`` as a dict, each position written as its word's letters;
+    ``save_gates`` must write its ``write_report`` encoding byte for byte."""
+    letters = _words(sequence.n)[0]
+    pairs = zip(sequence.gates.tolist(), sequence.angles.tolist())
+    gates = [{"pauli": letters[k], "angle": angle} for k, angle in pairs]
+    return {"n": sequence.n, "delta": sequence.delta, "gates": gates}
+
+
+def read_gates(path):
+    """The :class:`GateSequence` in a gates file.  The file is trusted: nothing is refused
+    beyond what the constructor refuses."""
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    positions = {letters: k for k, letters in enumerate(_words(payload["n"])[0])}
+    gates = payload["gates"]
+    return GateSequence(payload["n"], [positions[gate["pauli"]] for gate in gates],
+                        [gate["angle"] for gate in gates], payload["delta"])
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
